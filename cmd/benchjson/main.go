@@ -85,6 +85,21 @@ func quantLike(n int, seed int64) []byte {
 	return out
 }
 
+// encoder builds the shard encoder of a chunked benchmark container: v2
+// frames for an assembly, v5 for a fixed codec or a selection policy.
+// Those pairings are always valid, so an error here is a bug.
+func encoder(chooser any) *core.ShardEncoder {
+	ver := 5
+	if _, ok := chooser.(core.Options); ok {
+		ver = 2
+	}
+	enc, err := core.NewShardEncoder(ver, false, chooser)
+	if err != nil {
+		panic(err)
+	}
+	return enc
+}
+
 func suite(quick bool) ([]bench, error) {
 	dev := gpusim.New(0)
 	dev1 := gpusim.New(1)
@@ -137,7 +152,8 @@ func suite(quick bool) ([]bench, error) {
 	if err != nil {
 		return nil, err
 	}
-	sBlobChunked, err := core.CompressChunked(dev, sField.Data, sField.Dims, sEB, sOpts, 32)
+	sEnc := encoder(sOpts)
+	sBlobChunked, err := core.CompressChunked(dev, sField.Data, sField.Dims, sEB, sEnc, 32)
 	if err != nil {
 		return nil, err
 	}
@@ -186,23 +202,25 @@ func suite(quick bool) ([]bench, error) {
 		}
 	}
 	mixEB := metrics.AbsEB(mix, 1e-2)
-	bestFixed := core.Options{}
+	var bestFixed *core.ShardEncoder
 	bestFixedLen := -1
 	for _, name := range []string{"hi-cr", "hi-tp", "cusz-l"} {
 		opts, err := core.ModeOptions(name)
 		if err != nil {
 			return nil, err
 		}
-		blob, err := core.CompressChunked(dev4, mix, mixDims, mixEB, opts, 32)
+		enc := encoder(opts)
+		blob, err := core.CompressChunked(dev4, mix, mixDims, mixEB, enc, 32)
 		if err != nil {
 			return nil, err
 		}
 		if bestFixedLen < 0 || len(blob) < bestFixedLen {
 			bestFixedLen = len(blob)
-			bestFixed = opts
+			bestFixed = enc
 		}
 	}
-	autoBlob, err := core.CompressChunkedAuto(dev4, mix, mixDims, mixEB, 32)
+	autoEnc := encoder(core.DefaultSelectionPolicy)
+	autoBlob, err := core.CompressChunked(dev4, mix, mixDims, mixEB, autoEnc, 32)
 	if err != nil {
 		return nil, err
 	}
@@ -213,13 +231,13 @@ func suite(quick bool) ([]bench, error) {
 	// The non-default selection policies on the same field: throughput may
 	// trade a little ratio for a faster codec, ratio-floor takes the fastest
 	// codec that still clears the floor.
-	thrPol := core.ThroughputPolicy()
-	rfPol := core.RatioFloorPolicy(8)
-	thrBlob, err := core.CompressChunkedAutoPolicy(dev4, mix, mixDims, mixEB, 32, thrPol)
+	thrEnc := encoder(core.ThroughputPolicy())
+	rfEnc := encoder(core.RatioFloorPolicy(8))
+	thrBlob, err := core.CompressChunked(dev4, mix, mixDims, mixEB, thrEnc, 32)
 	if err != nil {
 		return nil, err
 	}
-	rfBlob, err := core.CompressChunkedAutoPolicy(dev4, mix, mixDims, mixEB, 32, rfPol)
+	rfBlob, err := core.CompressChunked(dev4, mix, mixDims, mixEB, rfEnc, 32)
 	if err != nil {
 		return nil, err
 	}
@@ -232,7 +250,7 @@ func suite(quick bool) ([]bench, error) {
 	type backendBench struct {
 		name string
 		blob []byte
-		cd   core.Codec
+		enc  *core.ShardEncoder
 	}
 	var backends []backendBench
 	for _, name := range []string{"fzgpu", "szp", "szx"} {
@@ -240,11 +258,12 @@ func suite(quick bool) ([]bench, error) {
 		if !ok {
 			return nil, fmt.Errorf("backend codec %q not registered", name)
 		}
-		blob, err := core.CompressChunkedCodec(dev4, sField.Data, sField.Dims, sEB, cd, 32)
+		enc := encoder(cd)
+		blob, err := core.CompressChunked(dev4, sField.Data, sField.Dims, sEB, enc, 32)
 		if err != nil {
 			return nil, err
 		}
-		backends = append(backends, backendBench{name: name, blob: blob, cd: cd})
+		backends = append(backends, backendBench{name: name, blob: blob, enc: enc})
 	}
 
 	// Per-kernel microbenchmarks over the batched hot loops, isolated from
@@ -299,7 +318,7 @@ func suite(quick bool) ([]bench, error) {
 		benches = append(benches,
 			bench{"backend/" + bb.name + "/compress-4w", int64(sField.SizeBytes()), ratio, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := core.CompressChunkedCodec(dev4, sField.Data, sField.Dims, sEB, bb.cd, 32); err != nil {
+					if _, err := core.CompressChunked(dev4, sField.Data, sField.Dims, sEB, bb.enc, 32); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -317,21 +336,21 @@ func suite(quick bool) ([]bench, error) {
 	return append(benches, []bench{
 		{"stream/automode/compress-auto-estimator-4w", mixBytes, autoRatio, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.CompressChunkedAuto(dev4, mix, mixDims, mixEB, 32); err != nil {
+				if _, err := core.CompressChunked(dev4, mix, mixDims, mixEB, autoEnc, 32); err != nil {
 					b.Fatal(err)
 				}
 			}
 		}},
 		{"stream/automode/compress-auto-throughput-4w", mixBytes, thrRatio, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.CompressChunkedAutoPolicy(dev4, mix, mixDims, mixEB, 32, thrPol); err != nil {
+				if _, err := core.CompressChunked(dev4, mix, mixDims, mixEB, thrEnc, 32); err != nil {
 					b.Fatal(err)
 				}
 			}
 		}},
 		{"stream/automode/compress-auto-ratio-floor-4w", mixBytes, rfRatio, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.CompressChunkedAutoPolicy(dev4, mix, mixDims, mixEB, 32, rfPol); err != nil {
+				if _, err := core.CompressChunked(dev4, mix, mixDims, mixEB, rfEnc, 32); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -407,7 +426,7 @@ func suite(quick bool) ([]bench, error) {
 		}},
 		{"stream/compress/sharded-4w", int64(sField.SizeBytes()), 0, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.CompressChunked(dev4, sField.Data, sField.Dims, sEB, sOpts, 32); err != nil {
+				if _, err := core.CompressChunked(dev4, sField.Data, sField.Dims, sEB, sEnc, 32); err != nil {
 					b.Fatal(err)
 				}
 			}

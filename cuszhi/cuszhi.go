@@ -109,47 +109,45 @@ func WithAutoPolicy(name string) Option {
 // Compressor is a reusable, goroutine-safe compressor instance.
 type Compressor struct {
 	mode        Mode
-	auto        bool
-	opts        core.Options
-	codec       core.Codec // backend chunk codec (fzgpu/szp/szx) modes
+	opts        core.Options         // assembly modes: the one-shot (v1) path
+	pol         core.SelectionPolicy // ModeAuto: the one-shot selection policy
+	enc         *core.ShardEncoder   // chunked path: v2 assembly, v5 backend or auto
 	dev         *gpusim.Device
 	chunkPlanes int
-	policyName  string               // WithAutoPolicy spelling, "" = default
-	pol         core.SelectionPolicy // resolved auto-mode ranking policy
+	policyName  string // WithAutoPolicy spelling, "" = default
 }
 
 // New returns a Compressor for the given mode.
 func New(mode Mode, opts ...Option) (*Compressor, error) {
 	c := &Compressor{mode: mode, dev: gpusim.Default}
-	switch {
-	case mode == ModeAuto:
-		c.auto = true
-	default:
-		co, err := options(mode)
-		if err != nil {
-			// Not an assembly: backend chunk codecs (fzgpu/szp/szx) resolve
-			// through the registry and compress via format-v5 containers.
-			if cd, ok := core.CodecByName(string(mode)); ok {
-				c.codec = cd
-				break
-			}
-			return nil, err
-		}
-		c.opts = co
-	}
 	for _, o := range opts {
 		o(c)
 	}
-	if c.policyName != "" && !c.auto {
+	if c.policyName != "" && mode != ModeAuto {
 		return nil, fmt.Errorf("cuszhi: WithAutoPolicy(%q) needs ModeAuto; mode is %q", c.policyName, mode)
 	}
-	if c.auto {
+	var chooser any
+	ver := 5 // backend modes and ModeAuto record per-chunk codec IDs
+	if mode == ModeAuto {
 		pol, err := core.PolicyByName(c.policyName)
 		if err != nil {
 			return nil, fmt.Errorf("cuszhi: %w", err)
 		}
-		c.pol = pol
+		c.pol, chooser = pol, pol
+	} else if co, err := options(mode); err == nil {
+		c.opts, chooser, ver = co, co, 2
+	} else if cd, ok := core.CodecByName(string(mode)); ok {
+		// Not an assembly: backend chunk codecs (fzgpu/szp/szx) resolve
+		// through the registry and compress via format-v5 containers.
+		chooser = cd
+	} else {
+		return nil, err
 	}
+	enc, err := core.NewShardEncoder(ver, false, chooser)
+	if err != nil {
+		return nil, err
+	}
+	c.enc = enc
 	return c, nil
 }
 
@@ -165,45 +163,41 @@ func (c *Compressor) Compress(data []float32, dims []int, relEB float64) ([]byte
 	return c.CompressAbs(data, dims, metrics.AbsEB(data, relEB))
 }
 
-// CompressAbs encodes data under an absolute error bound.
+// CompressAbs encodes data under an absolute error bound. With
+// WithChunkPlanes every mode goes through the chunked shard encoder; auto
+// mode then picks a codec per shard (a heterogeneous format-v5
+// container).
 func (c *Compressor) CompressAbs(data []float32, dims []int, absEB float64) ([]byte, error) {
-	if c.auto {
-		if c.chunkPlanes > 0 {
-			// Chunked auto mode goes per-shard: every shard gets whichever
-			// registered codec the estimator cascade scores best on a sample
-			// of it (ranked by the selection policy), producing a
-			// heterogeneous (format v5) container.
-			return core.CompressChunkedAutoPolicy(c.dev, data, dims, absEB, c.chunkPlanes, c.pol)
-		}
+	if c.chunkPlanes > 0 {
+		return core.CompressChunked(c.dev, data, dims, absEB, c.enc, c.chunkPlanes)
+	}
+	if len(dims) == 0 {
+		return nil, fmt.Errorf("cuszhi: empty dims")
+	}
+	enc := c.enc
+	switch {
+	case enc.Version() == 2:
+		// Assemblies compress unsharded into a one-shot (v1) container.
+		return core.Compress(c.dev, data, dims, absEB, c.opts)
+	case c.pol != nil:
 		sel, err := core.AutoSelectPolicy(nil, c.dev, data, dims, absEB, c.pol)
 		if err != nil {
 			return nil, err
 		}
-		if sel.Options.Name == "" {
-			// A backend codec won: its payload only lives inside v5 chunk
-			// frames, so wrap the field as a single-chunk v5 container.
-			return core.CompressChunkedCodec(c.dev, data, dims, absEB, sel.Codec, dims[0])
+		if sel.Options.Name != "" {
+			// Compress through the selection's registered codec — the same
+			// dispatch surface the per-chunk paths use.
+			return sel.Codec.Compress(nil, c.dev, data, dims, absEB)
 		}
-		// Compress through the selection's registered codec — the same
-		// dispatch surface the per-chunk paths use.
-		return sel.Codec.Compress(nil, c.dev, data, dims, absEB)
-	}
-	if c.codec != nil {
-		// Backend chunk codecs always emit format v5 — a single chunk
-		// unless WithChunkPlanes shards the field.
-		cp := c.chunkPlanes
-		if cp <= 0 {
-			if len(dims) == 0 {
-				return nil, fmt.Errorf("cuszhi: empty dims")
-			}
-			cp = dims[0]
+		// A backend codec won: its payload only lives inside v5 chunk
+		// frames, so it takes the single-chunk backend path below.
+		if enc, err = core.NewShardEncoder(5, false, sel.Codec); err != nil {
+			return nil, err
 		}
-		return core.CompressChunkedCodec(c.dev, data, dims, absEB, c.codec, cp)
 	}
-	if c.chunkPlanes > 0 {
-		return core.CompressChunked(c.dev, data, dims, absEB, c.opts, c.chunkPlanes)
-	}
-	return core.Compress(c.dev, data, dims, absEB, c.opts)
+	// Backend chunk codecs always emit format v5: a single chunk unless
+	// WithChunkPlanes shards the field.
+	return core.CompressChunked(c.dev, data, dims, absEB, enc, dims[0])
 }
 
 // Decompress decodes a container produced by any mode, returning the

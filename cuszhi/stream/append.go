@@ -132,7 +132,8 @@ func Repair(f File) (*core.RecoveryInfo, error) {
 // its chunks mix codecs or it has none yet; a v2–v4 store continues with
 // the assembly its last frame names — and WithMode/WithAutoMode override
 // that, within what the store's format can carry (codec-ID modes and auto
-// need a v5 store).
+// need a v5 store). WithAutoPolicy ranks the candidates whenever the store
+// continues adaptively.
 func OpenAppend(f File, opt ...Option) (*Writer, error) {
 	size, err := storeSize(f)
 	if err != nil {
@@ -143,7 +144,7 @@ func OpenAppend(f File, opt ...Option) (*Writer, error) {
 		return nil, err
 	}
 	cfg := newConfig(opt)
-	opts, cd, auto, err := appendMode(rec, cfg)
+	enc, err := appendEncoder(rec, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -174,17 +175,13 @@ func OpenAppend(f File, opt ...Option) (*Writer, error) {
 		w:         &offsetWriter{f: f, off: rec.FramesEnd},
 		f:         f,
 		grow:      true,
-		ver:       h.Version,
 		headerLen: rec.HeaderLen,
 		dev:       cfg.dev,
-		opts:      opts,
-		cd:        cd,
-		auto:      auto,
+		enc:       enc,
+		ver:       h.Version,
 		dims:      append([]int(nil), h.Dims...),
 		eb:        h.EB,
 		rel:       h.RelEB,
-		index:     h.Version >= 4,
-		rangeHdr:  h.Version >= 3,
 		ps:        ps,
 		cp:        h.ChunkPlanes,
 		plane:     rec.Planes,
@@ -202,54 +199,56 @@ func OpenAppend(f File, opt ...Option) (*Writer, error) {
 	return w, nil
 }
 
-// appendMode resolves the codec state a re-opened store continues with:
+// appendEncoder builds the shard encoder a re-opened store continues with:
 // the explicit WithMode/WithAutoMode when one was passed (validated
 // against what the store's format can carry), else whatever the frames on
 // disk prove.
-func appendMode(rec *core.RecoveryInfo, cfg config) (opts core.Options, cd core.Codec, auto bool, err error) {
+func appendEncoder(rec *core.RecoveryInfo, cfg config) (*core.ShardEncoder, error) {
+	ver := rec.Header.Version
+	ch, err := appendChooser(rec, cfg)
+	if err != nil {
+		return nil, err
+	}
+	enc, err := core.NewShardEncoder(ver, rec.Header.RelEB, ch)
+	if err != nil {
+		return nil, fmt.Errorf("stream: mode %q cannot continue a format-v%d store: %w", cfg.mode, ver, err)
+	}
+	return enc, nil
+}
+
+// appendChooser resolves what picks each appended shard's codec.
+func appendChooser(rec *core.RecoveryInfo, cfg config) (any, error) {
 	ver := rec.Header.Version
 	if cfg.modeSet {
-		if cfg.mode == cuszhi.ModeAuto {
-			if ver < 5 {
-				return opts, nil, false, fmt.Errorf("stream: store is format v%d; auto mode needs the v5 per-chunk codec IDs", ver)
-			}
-			return opts, nil, true, nil
+		ch, err := cfg.chooser()
+		if _, assembly := ch.(core.Options); assembly && ver >= 5 {
+			// v5 frames name their codec by wire ID: continue through the
+			// assembly's registered codec.
+			ch, _ = core.CodecByName(string(cfg.mode))
 		}
-		if ver >= 5 {
-			c, ok := core.CodecByName(string(cfg.mode))
-			if !ok {
-				return opts, nil, false, fmt.Errorf("stream: unknown mode %q", cfg.mode)
-			}
-			return opts, c, false, nil
-		}
-		opts, oerr := core.ModeOptions(string(cfg.mode))
-		if oerr != nil {
-			if _, backend := core.CodecByName(string(cfg.mode)); backend {
-				return opts, nil, false, fmt.Errorf("stream: mode %q frames carry a codec ID; store is format v%d, not v5", cfg.mode, ver)
-			}
-			return opts, nil, false, fmt.Errorf("stream: unknown mode %q", cfg.mode)
-		}
-		return opts, nil, false, nil
+		return ch, err
 	}
 	c, o, uniform, ok := rec.RecoveredCodec()
 	switch {
 	case ver >= 5 && ok && uniform:
-		return opts, c, false, nil
+		return c, nil
 	case ver >= 5 && ok: // chunks mix codecs: keep dispatching per shard
-		return opts, nil, true, nil
+		cfg.mode = cuszhi.ModeAuto
+		return cfg.chooser()
 	case ver >= 5:
 		if len(rec.Entries) > 0 {
-			return opts, nil, false, errors.New("stream: store chunks use an unregistered codec; cannot continue it")
+			return nil, errors.New("stream: store chunks use an unregistered codec; cannot continue it")
 		}
-		return opts, nil, true, nil // empty v5 store: adaptive covers any mix
+		cfg.mode = cuszhi.ModeAuto // empty v5 store: adaptive covers any mix
+		return cfg.chooser()
 	case ok:
-		return o, nil, false, nil
+		return o, nil
 	default:
 		if len(rec.Entries) > 0 {
-			return opts, nil, false, errors.New("stream: store codec mode matches no registered assembly; pass WithMode")
+			return nil, errors.New("stream: store codec mode matches no registered assembly; pass WithMode")
 		}
 		o, _ = core.ModeOptions(string(cuszhi.ModeCR))
-		return o, nil, false, nil // empty pre-v5 store: default assembly
+		return o, nil // empty pre-v5 store: default assembly
 	}
 }
 
@@ -271,7 +270,7 @@ type sealSpec struct {
 // v4/v5 — the index footer written with its backpointer tail last, each
 // step fsynced before the next depends on it.
 func sealStore(f File, st *sealSpec) error {
-	hdr, err := core.AppendChunkedHeaderSized(nil, st.ver, st.dims, st.eb, st.rel, st.cp, len(st.entries), int(st.headerLen))
+	hdr, err := core.AppendChunkedHeader(nil, st.ver, st.dims, st.eb, st.rel, st.cp, len(st.entries), int(st.headerLen))
 	if err != nil {
 		if hdr, err = widenHeader(f, st); err != nil {
 			return err
@@ -288,14 +287,9 @@ func sealStore(f File, st *sealSpec) error {
 	if err := f.Sync(); err != nil {
 		return err
 	}
-	if st.ver < 4 {
+	footer := core.AppendChunkIndexFooter(nil, st.ver, st.framesEnd, st.entries)
+	if len(footer) == 0 {
 		return nil // v2/v3 stores have no footer; the header seals them
-	}
-	var footer []byte
-	if st.ver >= 5 {
-		footer = core.AppendChunkIndexFooterV5(nil, st.framesEnd, st.entries)
-	} else {
-		footer = core.AppendChunkIndexFooter(nil, st.framesEnd, st.entries)
 	}
 	body, tail := footer[:len(footer)-core.IndexTailLen], footer[len(footer)-core.IndexTailLen:]
 	if _, err := f.WriteAt(body, st.framesEnd); err != nil {
@@ -314,21 +308,20 @@ func sealStore(f File, st *sealSpec) error {
 
 // widenHeader handles the once-per-store case where a grown dims[0] or
 // chunk count no longer fits the header's padding: it rebuilds the header
-// with both growing uvarints at width 5 — enough for every value the
-// format permits, so no store ever relocates twice — and moves the frames
-// up to make room, updating st in place.
+// at its widest (core.PadWide, enough for every value the format permits,
+// so no store ever relocates twice) and moves the frames up to make room,
+// updating st in place.
 func widenHeader(f File, st *sealSpec) ([]byte, error) {
-	minimal, err := core.AppendChunkedHeaderSized(nil, st.ver, st.dims, st.eb, st.rel, st.cp, len(st.entries), 0)
+	hdr, err := core.AppendChunkedHeader(nil, st.ver, st.dims, st.eb, st.rel, st.cp, len(st.entries), core.PadWide)
 	if err != nil {
 		return nil, err
 	}
-	padTo := len(minimal) - uvLen(uint64(st.dims[0])) - uvLen(uint64(len(st.entries))) + 10
-	if padTo <= int(st.headerLen) {
-		// The minimal header fits after all: AppendChunkedHeaderSized must
-		// have rejected the spec itself, not the padding.
+	if len(hdr) <= int(st.headerLen) {
+		// The widest header fits after all: the padded rewrite must have
+		// rejected the spec itself, not the padding.
 		return nil, fmt.Errorf("stream: cannot reseal store header: %d planes in %d chunks", st.dims[0], len(st.entries))
 	}
-	delta := int64(padTo) - st.headerLen
+	delta := int64(len(hdr)) - st.headerLen
 	if err := shiftFrames(f, st.headerLen, st.framesEnd, delta); err != nil {
 		return nil, err
 	}
@@ -337,7 +330,7 @@ func widenHeader(f File, st *sealSpec) ([]byte, error) {
 	}
 	st.headerLen += delta
 	st.framesEnd += delta
-	return core.AppendChunkedHeaderSized(nil, st.ver, st.dims, st.eb, st.rel, st.cp, len(st.entries), padTo)
+	return hdr, nil
 }
 
 // shiftFrames moves the byte range [start, end) of f up by delta,
@@ -359,14 +352,4 @@ func shiftFrames(f File, start, end, delta int64) error {
 		}
 	}
 	return nil
-}
-
-// uvLen returns the minimal LEB128 encoding length of v.
-func uvLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
 }

@@ -27,12 +27,6 @@ import (
 	"repro/internal/pipeline"
 )
 
-// maxFrameHeaderLen bounds a chunk frame header (offset + up to 8 dim
-// uvarints + codec-mode byte + codec-ID byte (v5) + 8-byte range +
-// payload-length uvarint + CRC), so the index scan can fetch one header
-// with a single small ReadAt.
-const maxFrameHeaderLen = 96
-
 // ReaderAt serves random-access plane reads from a compressed container.
 // It is safe for concurrent use: the index is immutable after Open and
 // every ReadPlanes call works on its own buffers.
@@ -175,7 +169,7 @@ func (r *ReaderAt) scanIndex(headerLen int64) error {
 	entries := make([]core.IndexEntry, 0, r.h.NumChunks)
 	off := headerLen
 	nextPlane := 0
-	var buf [maxFrameHeaderLen]byte
+	var buf [core.MaxFrameHeaderLen]byte
 	for i := 0; i < r.h.NumChunks; i++ {
 		want := min(int64(len(buf)), r.size-off)
 		if want <= 0 {

@@ -153,7 +153,7 @@ func scrubWithIndex(src io.ReaderAt, h *core.ChunkedInfo, entries []core.IndexEn
 			h.NumChunks, len(entries), core.ErrCorrupt)
 	}
 	planes := 0
-	var buf [maxFrameHeaderLen]byte
+	var buf [core.MaxFrameHeaderLen]byte
 	for i, e := range entries {
 		planes += e.Planes
 		end := framesEnd
@@ -217,7 +217,7 @@ func scrubFrame(src io.ReaderAt, h *core.ChunkedInfo, e core.IndexEntry, end int
 func scrubSequential(src io.ReaderAt, size int64, h *core.ChunkedInfo, headerLen int64, rep *ScrubReport) {
 	off := headerLen
 	nextPlane := 0
-	var buf [maxFrameHeaderLen]byte
+	var buf [core.MaxFrameHeaderLen]byte
 	i := 0
 	for ; i < h.NumChunks; i++ {
 		want := min(int64(len(buf)), size-off)

@@ -155,6 +155,52 @@ func newConfig(opts []Option) config {
 	return c
 }
 
+// chooser resolves the mode to what picks each shard's codec: the selection
+// policy in auto mode, else the mode's assembly Options or its registered
+// backend Codec.
+func (c config) chooser() (any, error) {
+	if c.mode == cuszhi.ModeAuto {
+		pol, err := core.PolicyByName(c.policy)
+		if err != nil {
+			return nil, fmt.Errorf("stream: %w", err)
+		}
+		return pol, nil
+	}
+	if c.policy != "" {
+		return nil, fmt.Errorf("stream: WithAutoPolicy(%q) needs WithAutoMode; mode is %q", c.policy, c.mode)
+	}
+	if opts, err := core.ModeOptions(string(c.mode)); err == nil {
+		return opts, nil
+	}
+	if cd, ok := core.CodecByName(string(c.mode)); ok {
+		return cd, nil
+	}
+	return nil, fmt.Errorf("stream: unknown mode %q", c.mode)
+}
+
+// encoder resolves a new container's format version and shard encoder.
+// Assemblies write v4 with the index, else v3 under a relative bound and
+// v2 otherwise; backend codecs and auto mode write v5, whose per-chunk
+// codec IDs live in the index footer, so they need the index.
+func (c config) encoder() (*core.ShardEncoder, error) {
+	ch, err := c.chooser()
+	if err != nil {
+		return nil, err
+	}
+	ver := 5
+	if _, assembly := ch.(core.Options); assembly {
+		ver = 2
+		if c.index {
+			ver = 4
+		} else if c.relative {
+			ver = 3
+		}
+	} else if !c.index {
+		return nil, fmt.Errorf("stream: mode %q writes per-chunk codec IDs to the index footer; drop WithIndex(false)", c.mode)
+	}
+	return core.NewShardEncoder(ver, c.relative, ch)
+}
+
 // ---------------------------------------------------------------------------
 // Writer.
 
@@ -178,22 +224,17 @@ type Writer struct {
 	w         io.Writer
 	f         File  // appendable sink (grow mode); nil for plain writers
 	grow      bool  // appendable store: no declared total, Close reseals
-	ver       int   // container version being continued (grow mode)
 	headerLen int64 // global header length on f (grow mode)
 	dev       *gpusim.Device
-	opts      core.Options
-	cd        core.Codec // fixed backend chunk codec (format v5), nil otherwise
+	enc       *core.ShardEncoder // encodes and frames every shard
+	ver       int                // container format version
 	dims      []int
-	eb        float64              // absolute bound, or relative when rel
-	rel       bool                 // per-shard relative bounds (format v3/v4)
-	index     bool                 // finish with a chunk-index footer (format v4/v5)
-	auto      bool                 // per-shard codec selection (format v5)
-	pol       core.SelectionPolicy // auto-mode ranking policy
-	rangeHdr  bool                 // frames carry per-shard min/max (v3 layout)
-	ps        int                  // elements per plane
-	cp        int                  // planes per shard
-	tot       int                  // elements in the whole field (0 in grow mode)
-	plane     int                  // planes submitted so far
+	eb        float64 // absolute bound, or relative when rel
+	rel       bool    // per-shard relative bounds (format v3+)
+	ps        int     // elements per plane
+	cp        int     // planes per shard
+	tot       int     // elements in the whole field (0 in grow mode)
+	plane     int     // planes submitted so far
 
 	partial []byte         // trailing bytes of an incomplete value (<4)
 	vals    []float32      // accumulating current shard
@@ -241,47 +282,11 @@ type AutoSelection struct {
 // footer, so the index cannot be disabled in auto mode.
 func NewWriter(w io.Writer, dims []int, eb float64, opt ...Option) (*Writer, error) {
 	cfg := newConfig(opt)
-	auto := cfg.mode == cuszhi.ModeAuto
-	var opts core.Options
-	var cd core.Codec
-	var pol core.SelectionPolicy
-	var err error
-	if auto {
-		if !cfg.index {
-			return nil, fmt.Errorf("stream: mode %q writes per-chunk codec IDs to the index footer; drop WithIndex(false)", cfg.mode)
-		}
-		if pol, err = core.PolicyByName(cfg.policy); err != nil {
-			return nil, fmt.Errorf("stream: %w", err)
-		}
-	} else {
-		if cfg.policy != "" {
-			return nil, fmt.Errorf("stream: WithAutoPolicy(%q) needs WithAutoMode; mode is %q", cfg.policy, cfg.mode)
-		}
-		opts, err = core.ModeOptions(string(cfg.mode))
-		if err != nil {
-			// Backend chunk codecs (fzgpu/szp/szx) have no Options assembly;
-			// they stream as format v5 with the codec's wire ID per chunk.
-			backend, ok := core.CodecByName(string(cfg.mode))
-			if !ok {
-				return nil, fmt.Errorf("stream: unknown mode %q", cfg.mode)
-			}
-			if !cfg.index {
-				return nil, fmt.Errorf("stream: mode %q writes per-chunk codec IDs to the index footer; drop WithIndex(false)", cfg.mode)
-			}
-			cd = backend
-		}
+	enc, err := cfg.encoder()
+	if err != nil {
+		return nil, err
 	}
-	var header []byte
-	switch {
-	case auto || cd != nil:
-		header, err = core.AppendChunkedHeaderV5(nil, dims, eb, cfg.relative, cfg.chunkPlanes)
-	case cfg.index:
-		header, err = core.AppendChunkedHeaderV4(nil, dims, eb, cfg.relative, cfg.chunkPlanes)
-	case cfg.relative:
-		header, err = core.AppendChunkedHeaderV3(nil, dims, eb, true, cfg.chunkPlanes)
-	default:
-		header, err = core.AppendChunkedHeader(nil, dims, eb, cfg.chunkPlanes)
-	}
+	header, err := core.AppendChunkedHeader(nil, enc.Version(), dims, eb, cfg.relative, cfg.chunkPlanes, 0, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -290,24 +295,20 @@ func NewWriter(w io.Writer, dims []int, eb float64, opt ...Option) (*Writer, err
 	}
 	ps := planeElems(dims)
 	sw := &Writer{
-		w:        w,
-		dev:      cfg.dev,
-		opts:     opts,
-		cd:       cd,
-		dims:     append([]int(nil), dims...),
-		eb:       eb,
-		rel:      cfg.relative,
-		index:    cfg.index,
-		auto:     auto,
-		pol:      pol,
-		rangeHdr: cfg.index || cfg.relative,
-		ps:       ps,
-		cp:       cfg.chunkPlanes,
-		tot:      ps * dims[0],
-		wOff:     int64(len(header)),
-		slabs:    make(chan []float32, 2*cfg.dev.Workers()+2),
-		pool:     pipeline.New[wframe](cfg.dev.Workers(), 0),
-		flushed:  make(chan struct{}),
+		w:       w,
+		dev:     cfg.dev,
+		enc:     enc,
+		ver:     enc.Version(),
+		dims:    append([]int(nil), dims...),
+		eb:      eb,
+		rel:     cfg.relative,
+		ps:      ps,
+		cp:      cfg.chunkPlanes,
+		tot:     ps * dims[0],
+		wOff:    int64(len(header)),
+		slabs:   make(chan []float32, 2*cfg.dev.Workers()+2),
+		pool:    pipeline.New[wframe](cfg.dev.Workers(), 0),
+		flushed: make(chan struct{}),
 	}
 	sw.vals = make([]float32, 0, sw.cp*ps)
 	go sw.flusher()
@@ -465,59 +466,15 @@ func (w *Writer) submitShard() {
 	default:
 		w.vals = make([]float32, 0, w.cp*w.ps)
 	}
-	dev, eb, rel, rangeHdr, auto, opts, cd := w.dev, w.eb, w.rel, w.rangeHdr, w.auto, w.opts, w.cd
 	shardDims := append([]int{planes}, w.dims[1:]...)
 	w.pool.Submit(func() (wframe, error) {
 		ctx := arena.Get()
 		defer arena.Put(ctx)
-		absEB := eb
-		var minV, maxV float32
-		if rangeHdr {
-			minV, maxV, _ = core.ShardRange(shard) // all-NaN: zero range below
+		frame, id, pick, err := w.enc.Encode(ctx, w.dev, shard, shardDims, offset, w.eb)
+		if err != nil {
+			return wframe{}, fmt.Errorf("stream: shard at plane %d: %w", offset, err)
 		}
-		if rel {
-			rng := float64(maxV) - float64(minV)
-			if rng > 0 {
-				absEB = eb * rng
-			} else {
-				// Constant shard: the field's true range is unknown here,
-				// so any range-derived fallback could exceed the global
-				// bound. Instead pick a bound below half a float32 ulp of
-				// the value — mag*1e-8 for normal magnitudes, floored at
-				// 1e-46 (< half the smallest denormal spacing) — so the
-				// reconstruction is bit-exact and satisfies every
-				// possible global bound.
-				absEB = math.Abs(float64(minV)) * 1e-8
-				if absEB < 1e-46 {
-					absEB = 1e-46
-				}
-			}
-		}
-		if cd != nil {
-			// Fixed backend codec: every shard is compressed by the one
-			// registered codec and framed with its wire ID (format v5).
-			payload, err := cd.Compress(ctx, dev, shard, shardDims, absEB)
-			if err != nil {
-				return wframe{}, fmt.Errorf("stream: shard at plane %d: %w", offset, err)
-			}
-			frame := core.AppendChunkFrameV5(nil, cd, offset, shardDims, minV, maxV, payload)
-			select {
-			case w.slabs <- shard:
-			default:
-			}
-			return wframe{data: frame, planeOff: offset, planes: planes, codec: cd.ID()}, nil
-		}
-		if auto {
-			// Per-shard adaptive dispatch: the estimator cascade scores the
-			// candidates on a sample of this shard under its resolved
-			// absolute bound, the policy picks, the winner alone compresses,
-			// and the frame carries its wire ID (format v5). The pick — with
-			// its estimator-vs-actual delta — is recorded for
-			// AutoSelections.
-			frame, id, pick, err := core.CompressShardAutoPolicy(ctx, dev, shard, shardDims, offset, absEB, minV, maxV, w.pol)
-			if err != nil {
-				return wframe{}, fmt.Errorf("stream: shard at plane %d: %w", offset, err)
-			}
+		if pick.Codec != "" { // auto mode: record the selection
 			w.selMu.Lock()
 			w.sels = append(w.sels, AutoSelection{
 				PlaneOff: offset, Planes: planes, Codec: pick.Codec,
@@ -525,27 +482,12 @@ func (w *Writer) submitShard() {
 				EstRatio: pick.EstRatio, Ratio: pick.ActualRatio,
 			})
 			w.selMu.Unlock()
-			select {
-			case w.slabs <- shard:
-			default:
-			}
-			return wframe{data: frame, planeOff: offset, planes: planes, codec: id}, nil
-		}
-		payload, err := core.CompressCtx(ctx, dev, shard, shardDims, absEB, opts)
-		if err != nil {
-			return wframe{}, fmt.Errorf("stream: shard at plane %d: %w", offset, err)
-		}
-		var frame []byte
-		if rangeHdr {
-			frame = core.AppendChunkFrameV3(nil, opts, offset, shardDims, minV, maxV, payload)
-		} else {
-			frame = core.AppendChunkFrame(nil, opts, offset, shardDims, payload)
 		}
 		select {
 		case w.slabs <- shard: // recycle the slab for a future shard
 		default:
 		}
-		return wframe{data: frame, planeOff: offset, planes: planes}, nil
+		return wframe{data: frame, planeOff: offset, planes: planes, codec: id}, nil
 	})
 }
 
@@ -609,19 +551,13 @@ func (w *Writer) Close() error {
 		}
 		return w.err()
 	}
-	if w.index && w.err() == nil {
-		// Every frame reached the sink; finish the container with the
-		// chunk-index footer so the output is seekable from its tail. Auto
-		// and backend-codec modes write the v5 footer, whose entries carry
-		// the codec IDs.
-		var footer []byte
-		if w.auto || w.cd != nil {
-			footer = core.AppendChunkIndexFooterV5(nil, w.wOff, w.idx)
-		} else {
-			footer = core.AppendChunkIndexFooter(nil, w.wOff, w.idx)
-		}
-		if _, err := w.w.Write(footer); err != nil {
-			w.setErr(err)
+	if w.err() == nil {
+		// Every frame reached the sink; a v4+ container ends with the
+		// chunk-index footer, so the output is seekable from its tail.
+		if footer := core.AppendChunkIndexFooter(nil, w.ver, w.wOff, w.idx); len(footer) > 0 {
+			if _, err := w.w.Write(footer); err != nil {
+				w.setErr(err)
+			}
 		}
 	}
 	return w.err()
@@ -961,8 +897,8 @@ func Compress(data []float32, dims []int, relEB float64, opt ...Option) ([]byte,
 // CompressAbs is Compress with an absolute error bound.
 func CompressAbs(data []float32, dims []int, absEB float64, opt ...Option) ([]byte, error) {
 	cfg := newConfig(opt)
-	c, err := cuszhi.New(cfg.mode,
-		cuszhi.WithWorkers(cfg.dev.Workers()), cuszhi.WithChunkPlanes(cfg.chunkPlanes))
+	c, err := cuszhi.New(cfg.mode, cuszhi.WithWorkers(cfg.dev.Workers()),
+		cuszhi.WithChunkPlanes(cfg.chunkPlanes), cuszhi.WithAutoPolicy(cfg.policy))
 	if err != nil {
 		return nil, err
 	}

@@ -72,13 +72,13 @@ func TestAllocsChunkedSteadyState(t *testing.T) {
 	dims := []int{64, 32, 32}
 	data := rampField(64 * 32 * 32)
 	dev1 := gpusim.New(1)
-	opts := CuszL()
-	blob, err := CompressChunked(dev1, data, dims, 0.01, opts, 16)
+	enc := mustEncoder(t, 2, CuszL())
+	blob, err := CompressChunked(dev1, data, dims, 0.01, enc, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
 	n := testing.AllocsPerRun(10, func() {
-		b, err := CompressChunked(dev1, data, dims, 0.01, opts, 16)
+		b, err := CompressChunked(dev1, data, dims, 0.01, enc, 16)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,11 +144,11 @@ func TestCtxNoAliasingBetweenFields(t *testing.T) {
 	// Public chunked decode path: worker contexts recycle across shards
 	// and across calls; previously returned fields must stay intact.
 	dev4 := gpusim.New(4)
-	blobA, err := CompressChunked(dev4, fieldA, dims, 0.02, CuszL(), 6)
+	blobA, err := CompressChunked(dev4, fieldA, dims, 0.02, mustEncoder(t, 2, CuszL()), 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	blobB, err := CompressChunked(dev4, fieldB, dims, 0.02, CuszL(), 6)
+	blobB, err := CompressChunked(dev4, fieldB, dims, 0.02, mustEncoder(t, 2, CuszL()), 6)
 	if err != nil {
 		t.Fatal(err)
 	}

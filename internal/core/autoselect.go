@@ -8,9 +8,9 @@ package core
 // fused quant-code histograms, and a strided probe prices the backends —
 // no candidate trial-compresses the input. A SelectionPolicy (policy.go)
 // then decides the winner, and only the winner compresses for real.
-// SelectShardCodec applies the same scoring per shard, which is what makes
-// heterogeneous (format v5) containers adaptive at near-fixed-mode speed:
-// a field whose character changes along the slow dimension gets a
+// SelectShardCodecPolicy applies the same scoring per shard, which is what
+// makes heterogeneous (format v5) containers adaptive at near-fixed-mode
+// speed: a field whose character changes along the slow dimension gets a
 // different codec where a different codec wins.
 
 import (
@@ -21,7 +21,7 @@ import (
 	"repro/internal/gpusim"
 )
 
-// Selection is the outcome of AutoSelect.
+// Selection is the outcome of AutoSelectPolicy.
 type Selection struct {
 	Codec Codec // the winning registered codec
 	// Options is the winner's assembly configuration; it is the zero value
@@ -38,13 +38,13 @@ type Selection struct {
 	Estimates []CandidateEstimate
 }
 
-// autoSelectCandidates returns the registered codecs AutoSelect evaluates:
+// autoSelectCandidates returns the registered codecs selection evaluates:
 // the three canonical assemblies plus the backend chunk codecs (fzgpu,
 // szp, szx). The backends are error-bound-compatible here even though they
 // take absolute bounds only, because every selection path scores under a
 // resolved absolute bound: one-shot callers convert relative bounds before
 // selecting, and relative-EB streams derive each shard's absolute bound
-// from the shard's value range before scoring (stream.Writer.submitShard).
+// from the shard's value range before scoring (ShardEncoder.Encode).
 func autoSelectCandidates() []Codec {
 	names := []string{"hi-cr", "hi-tp", "cusz-l", "fzgpu", "szp", "szx"}
 	out := make([]Codec, 0, len(names))
@@ -79,23 +79,11 @@ func sampleSlab(data []float32, dims []int, frac float64) ([]float32, []int) {
 	return slab, slabDims
 }
 
-// AutoSelect scores every candidate on a sample of data via the estimator
-// cascade under the absolute bound eb and returns the winner.
-func AutoSelect(dev *gpusim.Device, data []float32, dims []int, eb float64) (*Selection, error) {
-	return AutoSelectCtx(nil, dev, data, dims, eb)
-}
-
-// AutoSelectCtx is AutoSelect drawing estimator scratch from a reusable
-// codec context, so repeated selections stop allocating working sets. The
-// context is Reset before returning: any scratch the caller obtained from
-// it earlier is invalidated.
-func AutoSelectCtx(ctx *arena.Ctx, dev *gpusim.Device, data []float32, dims []int, eb float64) (*Selection, error) {
-	return AutoSelectPolicy(ctx, dev, data, dims, eb, DefaultSelectionPolicy)
-}
-
-// AutoSelectPolicy is the single selection implementation: AutoSelect,
-// AutoSelectCtx and SelectShardCodec all route through it. The estimator
-// cascade prices every candidate and pol picks the winner.
+// AutoSelectPolicy scores every candidate on a sample of data via the
+// estimator cascade under the absolute bound eb and returns the winner
+// under pol (nil: DefaultSelectionPolicy). Scratch comes from ctx (nil
+// allocates), which is Reset before returning: any scratch the caller
+// obtained from it earlier is invalidated.
 func AutoSelectPolicy(ctx *arena.Ctx, dev *gpusim.Device, data []float32, dims []int, eb float64, pol SelectionPolicy) (*Selection, error) {
 	if len(data) == 0 {
 		return nil, fmt.Errorf("core: cannot auto-select on empty data")
@@ -153,19 +141,12 @@ func trialScoreSlab(ctx *arena.Ctx, dev *gpusim.Device, slab []float32, slabDims
 	return sizes, nil
 }
 
-// SelectShardCodec estimates every auto-select candidate's size on one
-// shard (through ctx, which it Resets before returning) and returns the
-// default policy's winner — the per-chunk
-// selector the v5 streaming writer and CompressChunkedAuto run inside
-// their pipeline workers. eb is the shard's absolute bound.
-func SelectShardCodec(ctx *arena.Ctx, dev *gpusim.Device, shard []float32, dims []int, eb float64) (Codec, error) {
-	cd, _, err := SelectShardCodecPolicy(ctx, dev, shard, dims, eb, DefaultSelectionPolicy)
-	return cd, err
-}
-
-// SelectShardCodecPolicy is SelectShardCodec under an explicit policy,
-// also returning the winner's size estimate so callers can report
-// estimator-vs-actual deltas.
+// SelectShardCodecPolicy estimates every auto-select candidate's size on
+// one shard (through ctx, which it Resets before returning) and returns
+// pol's winner (nil: DefaultSelectionPolicy) with its size estimate, so
+// callers can report estimator-vs-actual deltas. It is the per-chunk
+// selector ShardEncoder runs inside the pipeline workers; eb is the
+// shard's absolute bound.
 func SelectShardCodecPolicy(ctx *arena.Ctx, dev *gpusim.Device, shard []float32, dims []int, eb float64, pol SelectionPolicy) (Codec, CandidateEstimate, error) {
 	if len(shard) == 0 {
 		return nil, CandidateEstimate{}, fmt.Errorf("core: cannot select a codec for an empty shard")

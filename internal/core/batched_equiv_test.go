@@ -107,13 +107,14 @@ func TestBatchedContainersMatchScalar(t *testing.T) {
 				if !ok {
 					t.Fatalf("backend %q not registered", bk)
 				}
+				enc := mustEncoder(t, 5, cd)
 				setBatchedKernels(false)
-				want, err := CompressChunkedCodec(dev, f.Data, f.Dims, eb, cd, 8)
+				want, err := CompressChunked(dev, f.Data, f.Dims, eb, enc, 8)
 				if err != nil {
 					t.Fatalf("%s %v %s scalar: %v", name, dims, bk, err)
 				}
 				setBatchedKernels(true)
-				got, err := CompressChunkedCodec(dev, f.Data, f.Dims, eb, cd, 8)
+				got, err := CompressChunked(dev, f.Data, f.Dims, eb, enc, 8)
 				if err != nil {
 					t.Fatalf("%s %v %s batched: %v", name, dims, bk, err)
 				}

@@ -171,110 +171,30 @@ type ChunkInfo struct {
 // ---------------------------------------------------------------------------
 // Encoding.
 
-// AppendChunkedHeader serializes the v2 global header.
-func AppendChunkedHeader(dst []byte, dims []int, eb float64, chunkPlanes int) ([]byte, error) {
-	return appendChunkedHeader(dst, version2, 0, dims, eb, chunkPlanes)
-}
+// PadWide asks AppendChunkedHeader for the widest header: its two growing
+// uvarints together take the 10 bytes that hold every value the format
+// permits, so a store rewritten at that length never relocates again.
+const PadWide = -1
 
-// AppendChunkedHeaderV3 serializes a v3 global header. relative marks the
-// eb field as value-range-relative (each shard payload then embeds its own
-// absolute bound, derived from the shard's value range).
-func AppendChunkedHeaderV3(dst []byte, dims []int, eb float64, relative bool, chunkPlanes int) ([]byte, error) {
-	var flags byte
-	if relative {
-		flags = flagRelEB
-	}
-	return appendChunkedHeader(dst, version3, flags, dims, eb, chunkPlanes)
-}
-
-// AppendChunkedHeaderV4 serializes a v4 (seekable) global header. The body
-// uses v3 framing — every chunk frame carries its value range — and the
-// container must be finished with AppendChunkIndexFooter.
-func AppendChunkedHeaderV4(dst []byte, dims []int, eb float64, relative bool, chunkPlanes int) ([]byte, error) {
-	var flags byte
-	if relative {
-		flags = flagRelEB
-	}
-	return appendChunkedHeader(dst, version4, flags, dims, eb, chunkPlanes)
-}
-
-// AppendChunkedHeaderV5 serializes a v5 (heterogeneous, seekable) global
-// header. Frames must be written with AppendChunkFrameV5 and the container
-// finished with AppendChunkIndexFooterV5.
-func AppendChunkedHeaderV5(dst []byte, dims []int, eb float64, relative bool, chunkPlanes int) ([]byte, error) {
-	var flags byte
-	if relative {
-		flags = flagRelEB
-	}
-	return appendChunkedHeader(dst, version5, flags, dims, eb, chunkPlanes)
-}
-
-func appendChunkedHeader(dst []byte, ver, flags byte, dims []int, eb float64, chunkPlanes int) ([]byte, error) {
-	if eb <= 0 || math.IsInf(eb, 0) || math.IsNaN(eb) {
-		return nil, fmt.Errorf("core: invalid error bound %v", eb)
-	}
-	if len(dims) == 0 || len(dims) > 8 {
-		return nil, fmt.Errorf("core: invalid dims %v", dims)
-	}
-	for _, d := range dims {
-		if d <= 0 {
-			return nil, fmt.Errorf("core: invalid dims %v", dims)
-		}
-	}
-	if chunkPlanes <= 0 {
-		return nil, fmt.Errorf("core: chunk planes %d must be positive", chunkPlanes)
-	}
-	if n := numChunks(dims, chunkPlanes); n > maxChunks {
-		return nil, fmt.Errorf("core: %d chunks exceeds the %d limit; raise chunk planes", n, maxChunks)
-	}
-	dst = append(dst, magic[:]...)
-	dst = append(dst, ver, flags)
-	dst = bitio.AppendUvarint(dst, uint64(len(dims)))
-	for _, d := range dims {
-		dst = bitio.AppendUvarint(dst, uint64(d))
-	}
-	dst = bitio.AppendUint64(dst, math.Float64bits(eb))
-	dst = bitio.AppendUvarint(dst, uint64(chunkPlanes))
-	dst = bitio.AppendUvarint(dst, uint64(numChunks(dims, chunkPlanes)))
-	return dst, nil
-}
-
-// appendUvarintWide serializes v as a LEB128 uvarint of exactly width
-// bytes, padding with zero continuation groups. Every uvarint reader
-// (binary.ReadUvarint, bitio.Uvarint) accepts the non-minimal form, so a
-// widened field can later be rewritten in place with a larger value.
-func appendUvarintWide(dst []byte, v uint64, width int) []byte {
-	for i := 0; i < width-1; i++ {
-		dst = append(dst, byte(v&0x7f)|0x80)
-		v >>= 7
-	}
-	return append(dst, byte(v))
-}
-
-// uvarintLen returns the minimal LEB128 encoding length of v.
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
-}
-
-// AppendChunkedHeaderSized serializes a chunked global header (any v2–v5
-// version) with an explicit chunk count and, when padTo > 0, an exact byte
-// length. Appendable stores use it to rewrite their header in place as
-// they grow: nchunks may exceed the ceiling division (earlier append
-// sessions can seal short interior chunks), and the dims[0]/nchunks
-// uvarints are widened — non-minimal LEB128, which every uvarint reader
-// accepts — until the header is exactly padTo bytes, so the frames behind
-// it never move. It fails when the minimal header would not fit padTo.
-func AppendChunkedHeaderSized(dst []byte, ver int, dims []int, eb float64, relative bool, chunkPlanes, nchunks, padTo int) ([]byte, error) {
+// AppendChunkedHeader serializes the global header of a chunked container
+// of format version ver (2–5). rel marks the eb field as value-range-
+// relative (v3+: each shard payload then embeds its own absolute bound,
+// derived from the shard's value range). nchunks is the declared chunk
+// count, 0 meaning the ceiling division of dims[0] by chunkPlanes;
+// appendable stores may declare more, because an append session can seal
+// a short interior chunk. padTo > 0 fixes the header's byte length: the
+// dims[0] and nchunks uvarints, the two fields that grow with a store, are
+// widened with non-minimal LEB128 (which every uvarint reader accepts)
+// until the header is exactly padTo bytes, so the frames behind it never
+// move when it is rewritten in place. It fails when the minimal header
+// would not fit padTo. The writer enforces every limit the readers do, so
+// it never emits a header no reader accepts.
+func AppendChunkedHeader(dst []byte, ver int, dims []int, eb float64, rel bool, chunkPlanes, nchunks, padTo int) ([]byte, error) {
 	if ver < version2 || ver > version5 {
 		return nil, fmt.Errorf("core: version %d is not a chunked format", ver)
 	}
 	var flags byte
-	if relative {
+	if rel {
 		if ver == version2 {
 			return nil, fmt.Errorf("core: v2 containers cannot carry a relative bound")
 		}
@@ -286,25 +206,37 @@ func AppendChunkedHeaderSized(dst []byte, ver int, dims []int, eb float64, relat
 	if len(dims) == 0 || len(dims) > 8 {
 		return nil, fmt.Errorf("core: invalid dims %v", dims)
 	}
+	total := 1
 	for _, d := range dims {
-		if d <= 0 || d > 1<<31 {
-			return nil, fmt.Errorf("core: invalid dims %v", dims)
+		if d <= 0 || d > 1<<31 || total > (1<<33)/d {
+			return nil, fmt.Errorf("core: invalid dims %v (each at most 2^31, at most 2^33 values)", dims)
 		}
+		total *= d
 	}
-	if chunkPlanes <= 0 {
-		return nil, fmt.Errorf("core: chunk planes %d must be positive", chunkPlanes)
+	if chunkPlanes <= 0 || chunkPlanes > 1<<31 {
+		return nil, fmt.Errorf("core: chunk planes %d must be in [1, 2^31]", chunkPlanes)
 	}
-	if nchunks < numChunks(dims, chunkPlanes) || nchunks > dims[0] || nchunks > maxChunks {
+	ceil := numChunks(dims, chunkPlanes)
+	if ceil > maxChunks {
+		return nil, fmt.Errorf("core: %d chunks exceeds the %d limit; raise chunk planes", ceil, maxChunks)
+	}
+	if nchunks == 0 {
+		nchunks = ceil
+	}
+	if nchunks < ceil || nchunks > dims[0] || nchunks > maxChunks {
 		return nil, fmt.Errorf("core: %d chunks is invalid for %d planes of %d", nchunks, dims[0], chunkPlanes)
 	}
 	// The two growing fields, dims[0] and nchunks, absorb the padding.
 	w0, wn := uvarintLen(uint64(dims[0])), uvarintLen(uint64(nchunks))
-	if padTo > 0 {
+	if padTo != 0 {
 		minimal := len(magic) + 2 + uvarintLen(uint64(len(dims))) + w0
 		for _, d := range dims[1:] {
 			minimal += uvarintLen(uint64(d))
 		}
 		minimal += 8 + uvarintLen(uint64(chunkPlanes)) + wn
+		if padTo == PadWide {
+			padTo = minimal - w0 - wn + 10
+		}
 		pad := padTo - minimal
 		if pad < 0 || w0+pad > 2*10 {
 			return nil, fmt.Errorf("core: header needs %d bytes, cannot pad to %d", minimal, padTo)
@@ -330,57 +262,66 @@ func AppendChunkedHeaderSized(dst []byte, ver int, dims []int, eb float64, relat
 	return appendUvarintWide(dst, uint64(nchunks), wn), nil
 }
 
-// AppendChunkFrame serializes one v2 chunk frame (header + payload).
-func AppendChunkFrame(dst []byte, opts Options, offset int, shardDims []int, payload []byte) []byte {
+// appendUvarintWide serializes v as a LEB128 uvarint of exactly width
+// bytes, padding with zero continuation groups. Every uvarint reader
+// (binary.ReadUvarint, bitio.Uvarint) accepts the non-minimal form, so a
+// widened field can later be rewritten in place with a larger value.
+func appendUvarintWide(dst []byte, v uint64, width int) []byte {
+	for i := 0; i < width-1; i++ {
+		dst = append(dst, byte(v&0x7f)|0x80)
+		v >>= 7
+	}
+	return append(dst, byte(v))
+}
+
+// uvarintLen returns the minimal LEB128 encoding length of v.
+func uvarintLen(v uint64) int {
+	n := 1
+	for v >= 0x80 {
+		v >>= 7
+		n++
+	}
+	return n
+}
+
+// appendChunkFrame serializes one chunk frame of a version-ver container
+// (header + payload). mode is the codec-mode byte of v2–v4 frames; v5
+// frames add the codec wire ID id and derive the mode byte from it (0 for
+// a codec without Options — it is advisory there, and frame validation
+// then rests on the codec ID and its footer cross-check alone). v3+ frames
+// carry the shard's value range.
+func appendChunkFrame(dst []byte, ver int, mode byte, id CodecID, offset int, shardDims []int, minV, maxV float32, payload []byte) []byte {
 	dst = bitio.AppendUvarint(dst, uint64(offset))
 	for _, d := range shardDims {
 		dst = bitio.AppendUvarint(dst, uint64(d))
 	}
-	dst = append(dst, CodecMode(opts))
+	if ver >= version5 {
+		mode, _ = codecFrameMode(id)
+		dst = append(dst, mode, byte(id))
+	} else {
+		dst = append(dst, mode)
+	}
+	if ver >= version3 {
+		dst = bitio.AppendUint32(dst, math.Float32bits(minV))
+		dst = bitio.AppendUint32(dst, math.Float32bits(maxV))
+	}
 	dst = bitio.AppendUvarint(dst, uint64(len(payload)))
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(payload))
-	dst = append(dst, crc[:]...)
+	dst = bitio.AppendUint32(dst, crc32.ChecksumIEEE(payload))
 	return append(dst, payload...)
 }
 
-// AppendChunkFrameV3 serializes one v3 chunk frame, which carries the
+// AppendChunkFrameV3 serializes one v3/v4 chunk frame, which carries the
 // shard's value range between the codec-mode byte and the payload length.
 func AppendChunkFrameV3(dst []byte, opts Options, offset int, shardDims []int, minV, maxV float32, payload []byte) []byte {
-	dst = bitio.AppendUvarint(dst, uint64(offset))
-	for _, d := range shardDims {
-		dst = bitio.AppendUvarint(dst, uint64(d))
-	}
-	dst = append(dst, CodecMode(opts))
-	dst = bitio.AppendUint32(dst, math.Float32bits(minV))
-	dst = bitio.AppendUint32(dst, math.Float32bits(maxV))
-	dst = bitio.AppendUvarint(dst, uint64(len(payload)))
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(payload))
-	dst = append(dst, crc[:]...)
-	return append(dst, payload...)
+	return appendChunkFrame(dst, version3, CodecMode(opts), codecInvalid, offset, shardDims, minV, maxV, payload)
 }
 
 // AppendChunkFrameV5 serializes one v5 chunk frame: the v3 layout with the
 // chunk's registered codec wire ID between the codec-mode byte and the
 // value range, so readers can dispatch the chunk without inspecting its
-// payload. For a codec without Options the codec-mode byte is written as
-// 0 — it is advisory there, and frame validation then rests on the codec
-// ID and its footer cross-check alone.
+// payload.
 func AppendChunkFrameV5(dst []byte, cd Codec, offset int, shardDims []int, minV, maxV float32, payload []byte) []byte {
-	dst = bitio.AppendUvarint(dst, uint64(offset))
-	for _, d := range shardDims {
-		dst = bitio.AppendUvarint(dst, uint64(d))
-	}
-	mode, _ := codecFrameMode(cd.ID())
-	dst = append(dst, mode, byte(cd.ID()))
-	dst = bitio.AppendUint32(dst, math.Float32bits(minV))
-	dst = bitio.AppendUint32(dst, math.Float32bits(maxV))
-	dst = bitio.AppendUvarint(dst, uint64(len(payload)))
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(payload))
-	dst = append(dst, crc[:]...)
-	return append(dst, payload...)
+	return appendChunkFrame(dst, version5, 0, cd.ID(), offset, shardDims, minV, maxV, payload)
 }
 
 // IndexEntry locates one chunk inside a v4/v5 container: where its frame
@@ -392,27 +333,22 @@ type IndexEntry struct {
 	Codec    CodecID // the chunk's codec wire ID (v5 indexes; 0 otherwise)
 }
 
-// AppendChunkIndexFooter serializes the v4 chunk-index footer. footerOff is
-// the byte offset at which the footer itself begins (i.e. the container
-// length so far — where the last chunk frame ended); it becomes the
-// backpointer stored in the fixed-size tail.
-func AppendChunkIndexFooter(dst []byte, footerOff int64, entries []IndexEntry) []byte {
-	return appendChunkIndexFooter(dst, footerOff, entries, false)
-}
-
-// AppendChunkIndexFooterV5 serializes the v5 chunk-index footer, whose
-// entries additionally record each chunk's codec wire ID.
-func AppendChunkIndexFooterV5(dst []byte, footerOff int64, entries []IndexEntry) []byte {
-	return appendChunkIndexFooter(dst, footerOff, entries, true)
-}
-
-func appendChunkIndexFooter(dst []byte, footerOff int64, entries []IndexEntry, withCodec bool) []byte {
+// AppendChunkIndexFooter serializes the chunk-index footer of a version-
+// ver container: v4 entries locate each chunk, v5 entries also record its
+// codec wire ID, and v2/v3 containers have no footer (dst is returned
+// unchanged). footerOff is the byte offset at which the footer itself
+// begins (the container length so far, where the last chunk frame ended);
+// it becomes the backpointer stored in the fixed-size tail.
+func AppendChunkIndexFooter(dst []byte, ver int, footerOff int64, entries []IndexEntry) []byte {
+	if ver < version4 {
+		return dst
+	}
 	body := bitio.AppendUvarint(nil, uint64(len(entries)))
 	for _, e := range entries {
 		body = bitio.AppendUvarint(body, uint64(e.FrameOff))
 		body = bitio.AppendUvarint(body, uint64(e.PlaneOff))
 		body = bitio.AppendUvarint(body, uint64(e.Planes))
-		if withCodec {
+		if ver >= version5 {
 			body = bitio.AppendUvarint(body, uint64(e.Codec))
 		}
 	}
@@ -523,63 +459,6 @@ func ShardRange(vs []float32) (minV, maxV float32, ok bool) {
 	return minV, maxV, true
 }
 
-// CompressShard compresses one slab of chunkPlanes (or fewer, for the last
-// shard) planes starting at plane `offset` into a framed chunk. data is the
-// full field; the shard is the contiguous sub-slice along dims[0].
-func CompressShard(dev *gpusim.Device, data []float32, dims []int, eb float64, opts Options, offset, planes int) ([]byte, error) {
-	return CompressShardCtx(nil, dev, data, dims, eb, opts, offset, planes)
-}
-
-// CompressShardCtx is CompressShard drawing scratch from a reusable
-// context. The returned frame is a fresh allocation.
-func CompressShardCtx(ctx *arena.Ctx, dev *gpusim.Device, data []float32, dims []int, eb float64, opts Options, offset, planes int) ([]byte, error) {
-	ps := planeSize(dims)
-	shard := data[offset*ps : (offset+planes)*ps]
-	shardDims := append([]int{planes}, dims[1:]...)
-	payload, err := CompressCtx(ctx, dev, shard, shardDims, eb, opts)
-	if err != nil {
-		return nil, fmt.Errorf("core: shard at plane %d: %w", offset, err)
-	}
-	return AppendChunkFrame(nil, opts, offset, shardDims, payload), nil
-}
-
-// CompressChunked encodes data into a v2 multi-chunk container, compressing
-// shards of chunkPlanes planes concurrently on dev's worker pool. Each
-// worker compresses through its own reusable codec context.
-func CompressChunked(dev *gpusim.Device, data []float32, dims []int, eb float64, opts Options, chunkPlanes int) ([]byte, error) {
-	total := 1
-	for _, d := range dims {
-		total *= d
-	}
-	if len(dims) == 0 || total != len(data) {
-		return nil, fmt.Errorf("core: dims %v do not match %d values", dims, len(data))
-	}
-	out, err := AppendChunkedHeader(nil, dims, eb, chunkPlanes)
-	if err != nil {
-		return nil, err
-	}
-	n := numChunks(dims, chunkPlanes)
-	ctxs := workerCtxs(dev.Workers(), n)
-	defer releaseCtxs(ctxs)
-	frames, err := pipeline.MapWorker(dev.Workers(), n, func(w, i int) ([]byte, error) {
-		ctx := ctxs[w]
-		ctx.Reset()
-		offset := i * chunkPlanes
-		planes := chunkPlanes
-		if offset+planes > dims[0] {
-			planes = dims[0] - offset
-		}
-		return CompressShardCtx(ctx, dev, data, dims, eb, opts, offset, planes)
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, f := range frames {
-		out = append(out, f...)
-	}
-	return out, nil
-}
-
 // ShardPick reports one shard's auto-mode selection: which codec the
 // estimator picked, what size it predicted, and what the winner actually
 // produced — the estimator-vs-actual observability record the streaming
@@ -592,97 +471,158 @@ type ShardPick struct {
 	ActualRatio float64
 }
 
-// CompressShardAuto selects the best codec for one shard (estimator
-// scoring through ctx) and compresses it into a framed v5 chunk, returning
-// the frame and the winning codec's wire ID. minV/maxV are the shard's
-// value range for the frame header; eb is the shard's absolute bound.
-func CompressShardAuto(ctx *arena.Ctx, dev *gpusim.Device, shard []float32, shardDims []int, offset int, eb float64, minV, maxV float32) ([]byte, CodecID, error) {
-	frame, id, _, err := CompressShardAutoPolicy(ctx, dev, shard, shardDims, offset, eb, minV, maxV, DefaultSelectionPolicy)
-	return frame, id, err
+// ShardEncoder is the one per-shard encode path behind every chunked
+// compress route: the in-memory CompressChunked, the streaming writer and
+// append sessions. It is built once per container and is safe for
+// concurrent use.
+type ShardEncoder struct {
+	ver  int
+	rel  bool
+	opts Options         // fixed assembly (v2–v4 frames)
+	cd   Codec           // fixed registered codec (v5 frames)
+	pol  SelectionPolicy // per-shard selection (v5 frames)
 }
 
-// CompressShardAutoPolicy is CompressShardAuto under an explicit selection
-// policy, also reporting the pick for estimator-vs-actual observability.
-// It is the per-shard worker body shared by CompressChunkedAuto and the
-// streaming writer's auto mode.
-func CompressShardAutoPolicy(ctx *arena.Ctx, dev *gpusim.Device, shard []float32, shardDims []int, offset int, eb float64, minV, maxV float32, pol SelectionPolicy) ([]byte, CodecID, ShardPick, error) {
-	cd, est, err := SelectShardCodecPolicy(ctx, dev, shard, shardDims, eb, pol)
+// NewShardEncoder builds the shard encoder of a container of format
+// version ver. chooser decides each shard's codec: a fixed assembly
+// Options (v2–v4), a fixed registered Codec (v5), or a SelectionPolicy
+// that picks per shard (v5 auto mode). rel makes the container bound
+// value-range-relative, resolved per shard from the shard's own range
+// (v3+).
+func NewShardEncoder(ver int, rel bool, chooser any) (*ShardEncoder, error) {
+	e := &ShardEncoder{ver: ver, rel: rel}
+	v5 := false
+	switch c := chooser.(type) {
+	case Options:
+		e.opts = c
+	case Codec:
+		e.cd, v5 = c, true
+	case SelectionPolicy:
+		e.pol, v5 = c, true
+	default:
+		return nil, fmt.Errorf("core: shard chooser %T is not Options, Codec or SelectionPolicy", chooser)
+	}
+	switch {
+	case v5 && ver != version5:
+		return nil, fmt.Errorf("core: per-chunk codec IDs need format v5, not v%d", ver)
+	case !v5 && (ver < version2 || ver > version4):
+		return nil, fmt.Errorf("core: assembly frames need format v2–v4, not v%d", ver)
+	case rel && ver < version3:
+		return nil, fmt.Errorf("core: v%d containers cannot carry a relative bound", ver)
+	}
+	return e, nil
+}
+
+// Version reports the container format version the encoder frames for.
+func (e *ShardEncoder) Version() int { return e.ver }
+
+// Encode runs one shard through the per-shard steps in order: value range
+// (v3+), relative-bound resolution, selection (auto mode), compress and
+// frame. shard holds the planes starting at plane offset, shardDims its
+// dims, and eb the container's bound. It returns the chunk frame (a fresh
+// allocation), the codec ID for the shard's index entry (v5; 0 otherwise)
+// and, in auto mode, the selection record (the zero ShardPick otherwise).
+// ctx supplies scratch; selection Resets it.
+func (e *ShardEncoder) Encode(ctx *arena.Ctx, dev *gpusim.Device, shard []float32, shardDims []int, offset int, eb float64) ([]byte, CodecID, ShardPick, error) {
+	var minV, maxV float32
+	if e.ver >= version3 {
+		minV, maxV, _ = ShardRange(shard) // all-NaN: zero range below
+	}
+	if e.rel {
+		eb = shardBound(eb, minV, maxV)
+	}
+	cd := e.cd
+	var pick ShardPick
+	if e.pol != nil {
+		win, est, err := SelectShardCodecPolicy(ctx, dev, shard, shardDims, eb, e.pol)
+		if err != nil {
+			return nil, codecInvalid, pick, err
+		}
+		cd = win
+		pick = ShardPick{Codec: win.Name(), EstBytes: est.Bytes, EstRatio: est.Ratio}
+	}
+	var payload []byte
+	var err error
+	id := codecInvalid
+	if cd == nil {
+		payload, err = CompressCtx(ctx, dev, shard, shardDims, eb, e.opts)
+	} else {
+		payload, err = cd.Compress(ctx, dev, shard, shardDims, eb)
+		id = cd.ID()
+	}
 	if err != nil {
-		return nil, codecInvalid, ShardPick{}, err
+		return nil, codecInvalid, pick, err
 	}
-	payload, err := cd.Compress(ctx, dev, shard, shardDims, eb)
-	if err != nil {
-		return nil, codecInvalid, ShardPick{}, err
+	if e.pol != nil {
+		pick.ActualBytes = len(payload)
+		pick.ActualRatio = float64(4*len(shard)) / float64(len(payload))
 	}
-	pick := ShardPick{
-		Codec:       cd.Name(),
-		EstBytes:    est.Bytes,
-		ActualBytes: len(payload),
-		EstRatio:    est.Ratio,
-		ActualRatio: float64(4*len(shard)) / float64(len(payload)),
-	}
-	return AppendChunkFrameV5(nil, cd, offset, shardDims, minV, maxV, payload), cd.ID(), pick, nil
+	return appendChunkFrame(nil, e.ver, CodecMode(e.opts), id, offset, shardDims, minV, maxV, payload), id, pick, nil
 }
 
-// CompressChunkedAuto encodes data into a heterogeneous (format v5)
-// container: every shard is scored by the estimator cascade on a sample of
-// itself and compressed by the winner, concurrently on dev's worker pool
-// through reusable codec contexts. The chunk-index footer records each
-// shard's codec wire ID, so readers dispatch (and report per-chunk codec
-// histograms) without touching payloads.
-func CompressChunkedAuto(dev *gpusim.Device, data []float32, dims []int, eb float64, chunkPlanes int) ([]byte, error) {
-	return CompressChunkedAutoPolicy(dev, data, dims, eb, chunkPlanes, DefaultSelectionPolicy)
+// shardBound resolves a value-range-relative bound to the absolute bound of
+// a shard spanning [minV, maxV]. A shard's range never exceeds the field's,
+// so the field-relative bound still holds.
+func shardBound(relEB float64, minV, maxV float32) float64 {
+	if rng := float64(maxV) - float64(minV); rng > 0 {
+		return relEB * rng
+	}
+	// Constant shard: the field's true range is unknown here, so any
+	// range-derived fallback could exceed the global bound. Instead pick a
+	// bound below half a float32 ulp of the value — mag*1e-8 for normal
+	// magnitudes, floored at 1e-46 (< half the smallest denormal spacing) —
+	// so the reconstruction is bit-exact and satisfies every possible
+	// global bound.
+	return max(math.Abs(float64(minV))*1e-8, 1e-46)
 }
 
-// CompressChunkedAutoPolicy is CompressChunkedAuto under an explicit
-// selection policy.
-func CompressChunkedAutoPolicy(dev *gpusim.Device, data []float32, dims []int, eb float64, chunkPlanes int, pol SelectionPolicy) ([]byte, error) {
-	total := 1
-	for _, d := range dims {
-		total *= d
-	}
-	if len(dims) == 0 || total != len(data) {
-		return nil, fmt.Errorf("core: dims %v do not match %d values", dims, len(data))
-	}
-	out, err := AppendChunkedHeaderV5(nil, dims, eb, false, chunkPlanes)
+// CompressChunked encodes data into a chunked container of enc's format
+// version, compressing shards of chunkPlanes planes concurrently on dev's
+// worker pool, each worker through its own reusable codec context. v4+
+// containers end with the chunk-index footer.
+func CompressChunked(dev *gpusim.Device, data []float32, dims []int, eb float64, enc *ShardEncoder, chunkPlanes int) ([]byte, error) {
+	out, err := AppendChunkedHeader(nil, enc.ver, dims, eb, enc.rel, chunkPlanes, 0, 0)
 	if err != nil {
 		return nil, err
 	}
-	n := numChunks(dims, chunkPlanes)
 	ps := planeSize(dims)
+	if ps*dims[0] != len(data) {
+		return nil, fmt.Errorf("core: dims %v do not match %d values", dims, len(data))
+	}
+	n := numChunks(dims, chunkPlanes)
 	ctxs := workerCtxs(dev.Workers(), n)
 	defer releaseCtxs(ctxs)
-	type aframe struct {
-		data   []byte
-		offset int
-		planes int
-		codec  CodecID
+	type chunk struct {
+		frame []byte
+		entry IndexEntry
 	}
-	frames, err := pipeline.MapWorker(dev.Workers(), n, func(w, i int) (aframe, error) {
+	chunks, err := pipeline.MapWorker(dev.Workers(), n, func(w, i int) (chunk, error) {
 		ctx := ctxs[w]
+		ctx.Reset()
 		offset := i * chunkPlanes
-		planes := chunkPlanes
-		if offset+planes > dims[0] {
-			planes = dims[0] - offset
-		}
-		shard := data[offset*ps : (offset+planes)*ps]
+		planes := min(chunkPlanes, dims[0]-offset)
 		shardDims := append([]int{planes}, dims[1:]...)
-		minV, maxV, _ := ShardRange(shard)
-		frame, id, _, err := CompressShardAutoPolicy(ctx, dev, shard, shardDims, offset, eb, minV, maxV, pol)
+		frame, id, _, err := enc.Encode(ctx, dev, data[offset*ps:(offset+planes)*ps], shardDims, offset, eb)
 		if err != nil {
-			return aframe{}, fmt.Errorf("core: shard at plane %d: %w", offset, err)
+			return chunk{}, fmt.Errorf("core: shard at plane %d: %w", offset, err)
 		}
-		return aframe{data: frame, offset: offset, planes: planes, codec: id}, nil
+		return chunk{frame, IndexEntry{PlaneOff: offset, Planes: planes, Codec: id}}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	entries := make([]IndexEntry, len(frames))
-	for i, f := range frames {
-		entries[i] = IndexEntry{FrameOff: int64(len(out)), PlaneOff: f.offset, Planes: f.planes, Codec: f.codec}
-		out = append(out, f.data...)
+	var entries []IndexEntry // for the v4+ footer
+	if enc.ver >= version4 {
+		entries = make([]IndexEntry, len(chunks))
 	}
-	return AppendChunkIndexFooterV5(out, int64(len(out)), entries), nil
+	for i, c := range chunks {
+		if entries != nil {
+			entries[i] = c.entry
+			entries[i].FrameOff = int64(len(out))
+		}
+		out = append(out, c.frame...)
+	}
+	return AppendChunkIndexFooter(out, enc.ver, int64(len(out)), entries), nil
 }
 
 // workerCtxs draws one codec context per worker slot from the arena pool.
@@ -977,15 +917,6 @@ func ReadChunkFrameRaw(r io.Reader, h *ChunkedInfo) (*ChunkInfo, []byte, error) 
 	return c, payload, nil
 }
 
-// DecompressShard decodes one chunk's payload and validates it against the
-// frame header. Shard payloads must be v1 containers (no nesting), and the
-// frame's codec-mode predictor nibble must match the payload's predictor
-// byte (the pipeline nibble is advisory — the payload self-describes it at
-// a mode-dependent offset).
-func DecompressShard(dev *gpusim.Device, c *ChunkInfo, payload []byte) ([]float32, error) {
-	return DecompressShardCtx(nil, dev, c, payload)
-}
-
 // verifyV1ShardPayload cross-checks a frame header against the v1
 // container payload it carries: the payload must self-describe as v1 and
 // its predictor byte must match the frame's codec-mode nibble (the frame
@@ -1001,9 +932,10 @@ func verifyV1ShardPayload(c *ChunkInfo, payload []byte) error {
 	return nil
 }
 
-// DecompressShardCtx is DecompressShard with a reusable context. With a
-// non-nil ctx the returned slab is context scratch, valid until ctx.Reset.
-// v5 chunks dispatch through the codec registry by their wire ID; an
+// DecompressShardCtx decodes one chunk's payload and validates it against
+// the frame header: the decoded dims must match the frame's shard dims.
+// With a non-nil ctx the returned slab is context scratch, valid until
+// ctx.Reset. v5 chunks dispatch through the codec registry by their wire ID; an
 // unknown ID fails with ErrCorrupt. The v1-payload cross-checks apply to
 // v2–v4 chunks and to assembly codecs (which wrap v1 containers); a
 // registered codec without Options owns its own payload format and only

@@ -19,11 +19,11 @@ import (
 	"io"
 )
 
-// maxFrameHeaderBytes bounds a chunk frame header (offset + up to 8 dim
+// MaxFrameHeaderLen bounds a chunk frame header (offset + up to 8 dim
 // uvarints + codec-mode byte + codec-ID byte (v5) + 8-byte range +
-// payload-length uvarint + CRC), so the recovery scan can fetch one
-// header with a single small read.
-const maxFrameHeaderBytes = 96
+// payload-length uvarint + CRC), so frame scans can fetch one header with
+// a single small read.
+const MaxFrameHeaderLen = 96
 
 // FooterState classifies what follows the last CRC-valid frame of a
 // scanned container.
@@ -108,7 +108,7 @@ func ScanRecovery(src io.ReaderAt, size int64) (*RecoveryInfo, error) {
 	hScan := *h
 	hScan.Dims = append([]int(nil), h.Dims...)
 	hScan.Dims[0] = 1 << 31
-	var buf [maxFrameHeaderBytes]byte
+	var buf [MaxFrameHeaderLen]byte
 	off := rec.HeaderLen
 	for len(rec.Entries) < maxChunks && off < size {
 		want := min(int64(len(buf)), size-off)

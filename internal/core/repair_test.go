@@ -3,7 +3,10 @@ package core
 import (
 	"bytes"
 	"errors"
+	"math"
 	"testing"
+
+	"repro/internal/bitio"
 )
 
 func scan(t *testing.T, blob []byte) *RecoveryInfo {
@@ -56,7 +59,7 @@ func TestScanRecoverySealed(t *testing.T) {
 func TestScanRecoveryV2V3Sealed(t *testing.T) {
 	dims := []int{4, 3, 3}
 	data := rampField(4 * 9)
-	v2, err := CompressChunked(dev, data, dims, 0.03, CuszL(), 2)
+	v2, err := CompressChunked(dev, data, dims, 0.03, mustEncoder(t, 2, CuszL()), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +139,7 @@ func TestScanRecoveryFooterStates(t *testing.T) {
 	})
 	t.Run("misdirected-backpointer", func(t *testing.T) {
 		mut := append([]byte(nil), blob...)
-		tail := AppendChunkIndexFooter(nil, fo-1, nil)[len(AppendChunkIndexFooter(nil, fo-1, nil))-IndexTailLen:]
+		tail := AppendChunkIndexFooter(nil, 4, fo-1, nil)[len(AppendChunkIndexFooter(nil, 4, fo-1, nil))-IndexTailLen:]
 		copy(mut[len(mut)-IndexTailLen:], tail)
 		rec := scan(t, mut)
 		if rec.Footer != FooterTorn {
@@ -181,7 +184,7 @@ func TestRecoveredCodec(t *testing.T) {
 	}
 
 	// A store with zero valid frames recovers no codec.
-	hdr, err := AppendChunkedHeaderV5(nil, dims, 0.05, false, 2)
+	hdr, err := AppendChunkedHeader(nil, 5, dims, 0.05, false, 2, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,12 +222,12 @@ func TestOptionsForFrameMode(t *testing.T) {
 	}
 }
 
-// TestAppendChunkedHeaderSized exercises the padded-header writer: exact
+// TestAppendChunkedHeaderSized exercises the header writer's padding: exact
 // target lengths round-trip through ReadChunkedHeader with identical
 // fields, and impossible pads fail instead of corrupting.
 func TestAppendChunkedHeaderSized(t *testing.T) {
 	dims := []int{7, 5, 3}
-	minimal, err := AppendChunkedHeaderSized(nil, 5, dims, 0.01, true, 2, 4, 0)
+	minimal, err := AppendChunkedHeader(nil, 5, dims, 0.01, true, 2, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +235,7 @@ func TestAppendChunkedHeaderSized(t *testing.T) {
 	// widen to 10 bytes apiece — 18 bytes of pad headroom.
 	for pad := 0; pad <= 18; pad++ {
 		padTo := len(minimal) + pad
-		hdr, err := AppendChunkedHeaderSized(nil, 5, dims, 0.01, true, 2, 4, padTo)
+		hdr, err := AppendChunkedHeader(nil, 5, dims, 0.01, true, 2, 4, padTo)
 		if err != nil {
 			t.Fatalf("pad %d: %v", pad, err)
 		}
@@ -256,24 +259,32 @@ func TestAppendChunkedHeaderSized(t *testing.T) {
 			t.Fatalf("pad %d: reader consumed %d of %d bytes", pad, padTo-cr.Len(), padTo)
 		}
 	}
-	if _, err := AppendChunkedHeaderSized(nil, 5, dims, 0.01, true, 2, 4, len(minimal)+19); err == nil {
+	// PadWide gives the two growing fields 10 bytes together.
+	wide, err := AppendChunkedHeader(nil, 5, dims, 0.01, true, 2, 4, PadWide)
+	if err != nil || len(wide) != len(minimal)+8 {
+		t.Fatalf("PadWide header: %d bytes (err %v), want %d", len(wide), err, len(minimal)+8)
+	}
+	if h, err := ReadChunkedHeader(bytes.NewReader(wide)); err != nil || h.Dims[0] != dims[0] || h.NumChunks != 4 {
+		t.Fatalf("PadWide header rereads as %+v, %v", h, err)
+	}
+	if _, err := AppendChunkedHeader(nil, 5, dims, 0.01, true, 2, 4, len(minimal)+19); err == nil {
 		t.Fatal("pad past both fields' headroom must fail")
 	}
-	if _, err := AppendChunkedHeaderSized(nil, 5, dims, 0.01, true, 2, 4, len(minimal)-1); err == nil {
+	if _, err := AppendChunkedHeader(nil, 5, dims, 0.01, true, 2, 4, len(minimal)-1); err == nil {
 		t.Fatal("padTo below the minimal length must fail")
 	}
 	// Short interior chunks: nchunks above the ceiling division is legal
 	// up to one chunk per plane; beyond that it is not.
-	if _, err := AppendChunkedHeaderSized(nil, 5, dims, 0.01, true, 2, 7, 0); err != nil {
+	if _, err := AppendChunkedHeader(nil, 5, dims, 0.01, true, 2, 7, 0); err != nil {
 		t.Fatalf("nchunks=dims[0] must be accepted: %v", err)
 	}
-	if _, err := AppendChunkedHeaderSized(nil, 5, dims, 0.01, true, 2, 8, 0); err == nil {
+	if _, err := AppendChunkedHeader(nil, 5, dims, 0.01, true, 2, 8, 0); err == nil {
 		t.Fatal("nchunks beyond one per plane must fail")
 	}
-	if _, err := AppendChunkedHeaderSized(nil, 5, dims, 0.01, true, 2, 3, 0); err == nil {
+	if _, err := AppendChunkedHeader(nil, 5, dims, 0.01, true, 2, 3, 0); err == nil {
 		t.Fatal("nchunks below the ceiling division must fail")
 	}
-	if _, err := AppendChunkedHeaderSized(nil, 1, dims, 0.01, false, 2, 4, 0); err == nil {
+	if _, err := AppendChunkedHeader(nil, 1, dims, 0.01, false, 2, 4, 0); err == nil {
 		t.Fatal("v1 is not a chunked header")
 	}
 }
@@ -281,7 +292,7 @@ func TestAppendChunkedHeaderSized(t *testing.T) {
 // TestParseChunkIndexTailHostile: anything but a well-formed 12-byte tail
 // is ErrCorrupt — short slices, bad magic, absurd backpointers.
 func TestParseChunkIndexTailHostile(t *testing.T) {
-	good := AppendChunkIndexFooter(nil, 16, nil)
+	good := AppendChunkIndexFooter(nil, 4, 16, nil)
 	tail := good[len(good)-IndexTailLen:]
 	if off, err := ParseChunkIndexTail(tail); err != nil || off != 16 {
 		t.Fatalf("valid tail: off=%d err=%v", off, err)
@@ -305,5 +316,50 @@ func TestParseChunkIndexTailHostile(t *testing.T) {
 	}
 	if _, err := ParseChunkIndexTail(huge); !errors.Is(err, ErrCorrupt) {
 		t.Fatal("absurd backpointer must be ErrCorrupt")
+	}
+}
+
+// TestChunkedHeaderEnforcesReaderLimits: the header writer accepts exactly
+// the dims the readers accept (each at most 2^31, at most 2^33 values with
+// the product overflow-checked), so no compress route can emit a header
+// that no reader opens. Each verdict is checked against ReadChunkedHeader
+// over a hand-encoded header of the same fields.
+func TestChunkedHeaderEnforcesReaderLimits(t *testing.T) {
+	raw := func(dims []int) []byte {
+		b := append(magic[:], version5, 0)
+		b = bitio.AppendUvarint(b, uint64(len(dims)))
+		for _, d := range dims {
+			b = bitio.AppendUvarint(b, uint64(d))
+		}
+		b = bitio.AppendUint64(b, math.Float64bits(0.1))
+		b = bitio.AppendUvarint(b, 1<<31)
+		return bitio.AppendUvarint(b, 1)
+	}
+	for _, c := range []struct {
+		dims []int
+		ok   bool
+	}{
+		{[]int{1, 1 << 31}, true},
+		{[]int{4, 1 << 31}, true}, // exactly 2^33 values
+		{[]int{1, 3 << 31}, false},
+		{[]int{5, 1 << 31}, false},
+		{[]int{1, 1 << 31, 1 << 31, 1 << 31}, false}, // wraps to 0 unchecked
+		{[]int{1 << 31, 1 << 31, 1 << 31, 1 << 31, 1 << 31}, false},
+	} {
+		_, werr := AppendChunkedHeader(nil, 5, c.dims, 0.1, false, 1<<31, 0, 0)
+		_, rerr := ReadChunkedHeader(bytes.NewReader(raw(c.dims)))
+		if (werr == nil) != c.ok || (rerr == nil) != c.ok {
+			t.Errorf("dims %v: writer err %v, reader err %v, want ok=%v", c.dims, werr, rerr, c.ok)
+		}
+		if c.ok {
+			continue
+		}
+		enc := mustEncoder(t, 5, DefaultSelectionPolicy)
+		if _, err := CompressChunked(dev, make([]float32, 8), c.dims, 0.1, enc, 1); err == nil {
+			t.Errorf("dims %v: CompressChunked accepted", c.dims)
+		}
+	}
+	if _, err := AppendChunkedHeader(nil, 5, []int{4, 4}, 0.1, false, 1<<31+1, 0, 0); err == nil {
+		t.Error("chunk planes above 2^31 accepted")
 	}
 }

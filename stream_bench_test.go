@@ -25,6 +25,10 @@ func BenchmarkStreamChunked(b *testing.B) {
 	}
 	absEB := metrics.AbsEB(f.Data, 1e-2)
 	opts := core.HiTP()
+	enc, err := core.NewShardEncoder(2, false, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
 
 	b.Run("compress/serial", func(b *testing.B) {
 		dev := gpusim.New(1)
@@ -40,7 +44,7 @@ func BenchmarkStreamChunked(b *testing.B) {
 			dev := gpusim.New(workers)
 			b.SetBytes(int64(f.SizeBytes()))
 			for i := 0; i < b.N; i++ {
-				if _, err := core.CompressChunked(dev, f.Data, f.Dims, absEB, opts, 32); err != nil {
+				if _, err := core.CompressChunked(dev, f.Data, f.Dims, absEB, enc, 32); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -51,7 +55,7 @@ func BenchmarkStreamChunked(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	chunkedBlob, err := core.CompressChunked(gpusim.New(0), f.Data, f.Dims, absEB, opts, 32)
+	chunkedBlob, err := core.CompressChunked(gpusim.New(0), f.Data, f.Dims, absEB, enc, 32)
 	if err != nil {
 		b.Fatal(err)
 	}
