@@ -2,20 +2,21 @@
 // loads) a chunk index over an io.ReaderAt and ReadPlanes decodes an
 // arbitrary plane range while reading only the shards that cover it.
 //
-// Seekable (v4/v5) containers carry the index as a footer, so opening one
-// touches the header, the fixed 12-byte tail and the index body — no
-// payload bytes (for heterogeneous v5 containers the footer also names
-// each chunk's codec, so dispatch needs no payload access either). Older
-// chunked containers (v2/v3) have no footer; the
-// open walks their frame headers once, skipping every payload by offset
-// arithmetic, and serves the same API from the scan-built index. One-shot
+// The index and the per-chunk decode are core's (core.OpenIndex,
+// Index.DecodeChunk), the same ones core.Decompress runs over a blob in
+// memory. Seekable (v4/v5) containers carry the index as a footer, so
+// opening one touches the header, the fixed 12-byte tail and the index
+// body — no payload bytes (for heterogeneous v5 containers the footer also
+// names each chunk's codec, so dispatch needs no payload access either).
+// Older chunked containers (v2/v3) have no footer; the open walks their
+// frame headers once, skipping every payload by offset arithmetic, and
+// serves the same API from the walk-built index. One-shot
 // v1 blobs have a single monolithic payload, so the first ReadPlanes
 // decodes the whole field once and later calls slice the cached
 // reconstruction.
 package stream
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"sort"
@@ -41,9 +42,8 @@ type ReaderAt struct {
 	relEB   bool
 
 	// Chunked containers (v2–v5).
-	h        *core.ChunkedInfo
-	index    []core.IndexEntry
-	frameEnd []int64 // frame i spans [index[i].FrameOff, frameEnd[i])
+	idx   *core.Index
+	index []core.IndexEntry // idx.Entries
 
 	// One-shot (v1) blobs: the whole field, decoded once on demand.
 	v1once  sync.Once
@@ -53,19 +53,6 @@ type ReaderAt struct {
 	// Degraded mode (WithDegraded): damaged chunks are filled, not fatal.
 	degraded bool
 	fill     float32
-}
-
-// countReader counts the bytes an io.Reader delivers, so the open can
-// learn the variable-length header's size.
-type countReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
 }
 
 // OpenReaderAt indexes the container held by src (size bytes long) for
@@ -78,16 +65,9 @@ func (c *countReader) Read(p []byte) (int, error) {
 func OpenReaderAt(src io.ReaderAt, size int64, opt ...Option) (*ReaderAt, error) {
 	cfg := newConfig(opt)
 	src = cfg.retry.WrapReaderAt(src)
-	var pre [5]byte
-	if size < int64(len(pre)) {
-		return nil, core.ErrCorrupt
-	}
-	if err := core.ReadFullAt(src, pre[:], 0); err != nil {
-		return nil, core.ErrCorrupt
-	}
-	version, ok := core.SniffVersion(pre[:])
-	if !ok {
-		return nil, core.ErrCorrupt
+	version, err := sniffVersionAt(src, size)
+	if err != nil {
+		return nil, err
 	}
 	r := &ReaderAt{src: src, size: size, dev: cfg.dev, version: version,
 		degraded: cfg.degraded, fill: cfg.fill}
@@ -106,114 +86,28 @@ func OpenReaderAt(src io.ReaderAt, size int64, opt ...Option) (*ReaderAt, error)
 		r.ps = planeElems(r.dims)
 		return r, nil
 	}
-	cr := &countReader{r: io.NewSectionReader(src, 0, size)}
-	h, err := core.ReadChunkedHeader(cr)
+	x, err := core.OpenIndex(src, size)
 	if err != nil {
 		return nil, err
 	}
-	r.h, r.dims, r.eb, r.relEB = h, h.Dims, h.EB, h.RelEB
+	h := x.Header
+	r.idx, r.index, r.dims, r.eb, r.relEB = x, x.Entries, h.Dims, h.EB, h.RelEB
 	r.ps = planeElems(r.dims)
-	headerLen := cr.n
-	if h.Version >= 4 {
-		err = r.loadIndex(headerLen)
-	} else {
-		err = r.scanIndex(headerLen)
-	}
-	if err != nil {
-		return nil, err
-	}
 	return r, nil
 }
 
-// loadIndex reads a v4 container's chunk index from its footer: the fixed
-// tail at EOF yields the backpointer, the index body yields the entries.
-// No chunk payload bytes are read.
-func (r *ReaderAt) loadIndex(headerLen int64) error {
-	if r.size < headerLen+core.IndexTailLen {
-		return core.ErrCorrupt
+// sniffVersionAt reads the container format version from the front of
+// src (size bytes long).
+func sniffVersionAt(src io.ReaderAt, size int64) (int, error) {
+	var pre [5]byte
+	if size < int64(len(pre)) || core.ReadFullAt(src, pre[:], 0) != nil {
+		return 0, core.ErrCorrupt
 	}
-	var tail [core.IndexTailLen]byte
-	if err := core.ReadFullAt(r.src, tail[:], r.size-core.IndexTailLen); err != nil {
-		return core.ErrCorrupt
+	version, ok := core.SniffVersion(pre[:])
+	if !ok {
+		return 0, core.ErrCorrupt
 	}
-	footerOff, err := core.ParseChunkIndexTail(tail[:])
-	if err != nil {
-		return err
-	}
-	if footerOff < headerLen || footerOff > r.size-core.IndexTailLen {
-		return core.ErrCorrupt
-	}
-	regionLen := r.size - core.IndexTailLen - footerOff
-	// Three uvarints per entry plus the count and CRC: a region wildly
-	// larger than that is hostile, not an index.
-	if regionLen > int64(r.h.NumChunks)*30+64 {
-		return core.ErrCorrupt
-	}
-	region := make([]byte, regionLen)
-	if err := core.ReadFullAt(r.src, region, footerOff); err != nil {
-		return core.ErrCorrupt
-	}
-	entries, err := core.ParseChunkIndex(region, r.h, footerOff)
-	if err != nil {
-		return err
-	}
-	if entries[0].FrameOff != headerLen {
-		return core.ErrCorrupt
-	}
-	return r.setIndex(entries, footerOff)
-}
-
-// scanIndex builds the index for a v2/v3 container by walking its frame
-// headers, skipping every payload by offset arithmetic.
-func (r *ReaderAt) scanIndex(headerLen int64) error {
-	entries := make([]core.IndexEntry, 0, r.h.NumChunks)
-	off := headerLen
-	nextPlane := 0
-	var buf [core.MaxFrameHeaderLen]byte
-	for i := 0; i < r.h.NumChunks; i++ {
-		want := min(int64(len(buf)), r.size-off)
-		if want <= 0 {
-			return core.ErrCorrupt
-		}
-		if err := core.ReadFullAt(r.src, buf[:want], off); err != nil {
-			return core.ErrCorrupt
-		}
-		c, payStart, plen, err := core.ScanFrameHeader(buf[:want], r.h)
-		if err != nil {
-			return err
-		}
-		if c.Offset != nextPlane {
-			return core.ErrCorrupt
-		}
-		entries = append(entries, core.IndexEntry{FrameOff: off, PlaneOff: c.Offset, Planes: c.Dims[0]})
-		off += int64(payStart) + int64(plen)
-		if off > r.size {
-			return core.ErrCorrupt
-		}
-		nextPlane += c.Dims[0]
-	}
-	if nextPlane != r.h.Dims[0] || off != r.size {
-		return core.ErrCorrupt
-	}
-	return r.setIndex(entries, off)
-}
-
-// setIndex installs the entries and derives each frame's end offset (the
-// next frame's start; the last frame ends where the frames end).
-func (r *ReaderAt) setIndex(entries []core.IndexEntry, framesEnd int64) error {
-	r.index = entries
-	r.frameEnd = make([]int64, len(entries))
-	for i := range entries {
-		if i+1 < len(entries) {
-			r.frameEnd[i] = entries[i+1].FrameOff
-		} else {
-			r.frameEnd[i] = framesEnd
-		}
-		if r.frameEnd[i] <= entries[i].FrameOff {
-			return core.ErrCorrupt
-		}
-	}
-	return nil
+	return version, nil
 }
 
 // Dims returns the field's dims, slowest first.
@@ -348,35 +242,13 @@ func (r *ReaderAt) decodeChunkInto(dst []float32, i, lo, hi int) error {
 }
 
 func (r *ReaderAt) decodeChunk(dst []float32, i, lo, hi int) error {
-	e := r.index[i]
-	buf := make([]byte, r.frameEnd[i]-e.FrameOff)
-	if err := core.ReadFullAt(r.src, buf, e.FrameOff); err != nil {
-		if core.IsTransient(err) {
-			// The storage failed, not the format: surface the I/O error (the
-			// retry budget, if any, is already spent) so callers can tell a
-			// flaky device from a rotten store.
-			return err
-		}
-		return core.ErrCorrupt // truncation: the frame cannot be complete
-	}
-	br := bytes.NewReader(buf)
-	c, payload, err := core.ReadChunkFrame(br, r.h)
-	if err != nil {
-		return err
-	}
-	if c.CodecID != e.Codec {
-		return fmt.Errorf("chunk index codec %s disagrees with frame codec %s at plane %d: %w",
-			core.CodecLabel(e.Codec), core.CodecLabel(c.CodecID), e.PlaneOff, core.ErrCorrupt)
-	}
-	if br.Len() != 0 || c.Offset != e.PlaneOff || c.Dims[0] != e.Planes {
-		return fmt.Errorf("chunk index disagrees with frame at plane %d: %w", e.PlaneOff, core.ErrCorrupt)
-	}
 	ctx := arena.Get()
 	defer arena.Put(ctx)
-	recon, err := core.DecompressShardCtx(ctx, r.dev, c, payload)
+	recon, err := r.idx.DecodeChunk(ctx, r.dev, i)
 	if err != nil {
 		return err
 	}
+	e := r.index[i]
 	s0, s1 := clampSpan(e.PlaneOff, e.PlaneOff+e.Planes, lo, hi)
 	copy(dst[(s0-lo)*r.ps:(s1-lo)*r.ps], recon[(s0-e.PlaneOff)*r.ps:(s1-e.PlaneOff)*r.ps])
 	return nil

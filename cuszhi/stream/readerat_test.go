@@ -485,16 +485,11 @@ func TestOpenReaderAtHostileInputs(t *testing.T) {
 	t.Run("frame offset past EOF", func(t *testing.T) {
 		// Rebuild the footer (valid CRC) pointing a frame past the end of
 		// the file: the open must refuse it, not ReadAt out of bounds.
-		h, err := core.ReadChunkedHeader(bytes.NewReader(blob))
+		x, err := core.OpenIndex(bytes.NewReader(blob), int64(len(blob)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		region := blob[framesEnd : len(blob)-core.IndexTailLen]
-		entries, err := core.ParseChunkIndex(region, h, framesEnd)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lie := append([]core.IndexEntry(nil), entries...)
+		lie := append([]core.IndexEntry(nil), x.Entries...)
 		lie[len(lie)-1].FrameOff = int64(len(blob)) + 50
 		bad := core.AppendChunkIndexFooter(append([]byte(nil), blob[:framesEnd]...), 4, framesEnd, lie)
 		if _, err := open(bad); !errors.Is(err, core.ErrCorrupt) {
@@ -506,16 +501,11 @@ func TestOpenReaderAtHostileInputs(t *testing.T) {
 		// offsets) whose byte offsets lie by one: the open succeeds, and
 		// the read must catch the disagreement rather than decode from
 		// the wrong place.
-		h, err := core.ReadChunkedHeader(bytes.NewReader(blob))
+		x, err := core.OpenIndex(bytes.NewReader(blob), int64(len(blob)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		region := blob[framesEnd : len(blob)-core.IndexTailLen]
-		entries, err := core.ParseChunkIndex(region, h, framesEnd)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lie := append([]core.IndexEntry(nil), entries...)
+		lie := append([]core.IndexEntry(nil), x.Entries...)
 		lie[1].FrameOff++
 		bad := core.AppendChunkIndexFooter(append([]byte(nil), blob[:framesEnd]...), 4, framesEnd, lie)
 		ra, err := OpenReaderAt(bytes.NewReader(bad), int64(len(bad)))

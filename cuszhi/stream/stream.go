@@ -714,12 +714,12 @@ func (r *Reader) Close() error {
 // is recycled. The pool is passed explicitly because Close detaches r.pool
 // while the feeder may still be running.
 //
-// In degraded mode the payload CRC is checked here (ReadChunkFrameRaw
-// leaves the stream positioned at the next frame even when the payload is
-// rotten), so a damaged chunk is recorded and replaced by filler planes
-// while the walk continues. Structural damage — an unparseable frame
-// header, a plane-offset mismatch — still aborts: past it the stream
-// position is indeterminate.
+// The payload CRC is checked here, after ReadChunkFrameRaw, which leaves
+// the stream positioned at the next frame even when the payload is
+// rotten: in degraded mode a damaged chunk is recorded and replaced by
+// filler planes while the walk continues. Structural damage — an
+// unparseable frame header, a plane-offset mismatch — still aborts: past
+// it the stream position is indeterminate.
 func (r *Reader) feed(cr *countReader, dev *gpusim.Device, h *core.ChunkedInfo, pool *pipeline.Pool[[]byte]) {
 	defer pool.Close()
 	nextPlane := 0
@@ -731,16 +731,12 @@ func (r *Reader) feed(cr *countReader, dev *gpusim.Device, h *core.ChunkedInfo, 
 		default:
 		}
 		frameOff := cr.n
-		var c *core.ChunkInfo
-		var payload []byte
-		var err error
-		if r.degraded {
-			c, payload, err = core.ReadChunkFrameRaw(cr, h)
-		} else {
-			c, payload, err = core.ReadChunkFrame(cr, h)
-		}
+		c, payload, err := core.ReadChunkFrameRaw(cr, h)
 		if err == nil && c.Offset != nextPlane {
 			err = core.ErrCorrupt
+		}
+		if err == nil && !r.degraded {
+			err = core.VerifyChunkPayload(c, payload)
 		}
 		if err != nil {
 			err = fmt.Errorf("stream: chunk %d @0x%x: %w", i, frameOff, err)
@@ -781,6 +777,19 @@ func (r *Reader) feed(cr *countReader, dev *gpusim.Device, h *core.ChunkedInfo, 
 	// a blob is exactly one container), the streaming reader stops after
 	// one container without probing for EOF: probing would block forever
 	// on a socket or pipe the producer keeps open.
+}
+
+// countReader counts the bytes an io.Reader delivers, so the feeder knows
+// each frame's byte offset.
+type countReader struct {
+	r io.Reader
+	n int64
+}
+
+func (c *countReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += int64(n)
+	return n, err
 }
 
 // recordDamage appends one damaged-chunk record (decode jobs run

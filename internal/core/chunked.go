@@ -61,8 +61,8 @@
 //
 // The last IndexTailLen bytes (backptr + magic) are fixed-size, so a
 // reader seeks to EOF−12, follows the backpointer, and verifies the index
-// CRC. Sequential decoders instead scan the frames as in v2/v3 and then
-// verify the footer agrees with what they saw.
+// CRC. Every decoder then reaches the frames through the index and checks
+// each frame it decodes against its entry (see index.go).
 //
 // Format v5 makes chunked containers heterogeneous: each chunk may be
 // compressed by a different registered codec (per-chunk adaptive mode
@@ -358,84 +358,6 @@ func AppendChunkIndexFooter(dst []byte, ver int, footerOff int64, entries []Inde
 	return append(dst, indexMagic[:]...)
 }
 
-// ParseChunkIndexTail reads the fixed-size v4 tail (the last IndexTailLen
-// bytes of a container), returning the backpointer to the index body.
-func ParseChunkIndexTail(tail []byte) (footerOff int64, err error) {
-	if len(tail) != IndexTailLen || !bytes.Equal(tail[8:], indexMagic[:]) {
-		return 0, ErrCorrupt
-	}
-	v := binary.LittleEndian.Uint64(tail[:8])
-	if v > 1<<62 {
-		return 0, ErrCorrupt
-	}
-	return int64(v), nil
-}
-
-// ParseChunkIndex decodes and validates a v4 index region — the bytes from
-// the backpointer up to (not including) the fixed tail, i.e. the index
-// body plus its CRC. The entries must agree with the global header: one
-// entry per chunk, frame offsets strictly increasing and below footerOff,
-// plane spans tiling [0, Dims[0]) contiguously with no chunk thicker than
-// ChunkPlanes.
-func ParseChunkIndex(region []byte, h *ChunkedInfo, footerOff int64) ([]IndexEntry, error) {
-	if len(region) < 5 {
-		return nil, ErrCorrupt
-	}
-	body := region[:len(region)-4]
-	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(region[len(region)-4:]) {
-		return nil, fmt.Errorf("core: chunk index checksum mismatch: %w", ErrCorrupt)
-	}
-	off := 0
-	readUv := func() (uint64, bool) {
-		v, n := bitio.Uvarint(body[off:])
-		if n == 0 {
-			return 0, false
-		}
-		off += n
-		return v, true
-	}
-	nc, ok := readUv()
-	if !ok || int(nc) != h.NumChunks {
-		return nil, ErrCorrupt
-	}
-	entries := make([]IndexEntry, h.NumChunks)
-	nextPlane := 0
-	prevOff := int64(-1)
-	for i := range entries {
-		fo, ok1 := readUv()
-		po, ok2 := readUv()
-		pl, ok3 := readUv()
-		if !ok1 || !ok2 || !ok3 {
-			return nil, ErrCorrupt
-		}
-		e := IndexEntry{FrameOff: int64(fo), PlaneOff: int(po), Planes: int(pl)}
-		if h.Version >= version5 {
-			cv, ok := readUv()
-			if !ok || cv == 0 || cv > 255 {
-				return nil, ErrCorrupt
-			}
-			if _, ok := CodecByID(CodecID(cv)); !ok {
-				return nil, fmt.Errorf("core: chunk index entry %d: unknown codec id %d: %w", i, cv, ErrCorrupt)
-			}
-			e.Codec = CodecID(cv)
-		}
-		if fo > 1<<62 || e.FrameOff <= prevOff || e.FrameOff >= footerOff {
-			return nil, ErrCorrupt
-		}
-		if e.PlaneOff != nextPlane || e.Planes <= 0 || e.Planes > h.ChunkPlanes ||
-			e.PlaneOff+e.Planes > h.Dims[0] {
-			return nil, ErrCorrupt
-		}
-		prevOff = e.FrameOff
-		nextPlane += e.Planes
-		entries[i] = e
-	}
-	if nextPlane != h.Dims[0] || off != len(body) {
-		return nil, ErrCorrupt
-	}
-	return entries, nil
-}
-
 // ShardRange scans one slab of values for its min/max — the v3 per-shard
 // range header. NaNs are skipped, as the whole-file range pre-pass this
 // replaces did; ok is false when the shard is empty or all-NaN.
@@ -690,14 +612,10 @@ func ReadChunkedHeader(r io.Reader) (*ChunkedInfo, error) {
 	if !bytes.Equal(pre[:4], magic[:]) {
 		return nil, ErrCorrupt
 	}
-	if pre[4] < version2 || pre[4] > version5 {
-		return nil, fmt.Errorf("core: not a chunked container (version %d)", pre[4])
+	ver, flags := pre[4], pre[5]
+	if ver < version2 || ver > version5 {
+		return nil, fmt.Errorf("core: not a chunked container (version %d): %w", ver, ErrCorrupt)
 	}
-	return readChunkedHeaderBody(r, pre[4], pre[5])
-}
-
-// readChunkedHeaderBody parses the chunked header after magic/version/flags.
-func readChunkedHeaderBody(r io.Reader, ver, flags byte) (*ChunkedInfo, error) {
 	if ver == version2 && flags != 0 {
 		return nil, ErrCorrupt // v2 reserves the flags byte as zero
 	}
@@ -755,10 +673,9 @@ func readChunkedHeaderBody(r io.Reader, ver, flags byte) (*ChunkedInfo, error) {
 	return h, nil
 }
 
-// validateChunkFrame applies the frame-header rules shared by the stream
-// parser (ReadChunkFrame) and the blob scanner (scanChunkFrame), so the
-// two decode paths can never drift apart on what is a valid frame.
-func validateChunkFrame(h *ChunkedInfo, c *ChunkInfo, plen uint64) error {
+// validateChunkFrame applies the frame-header rules to a parsed header
+// (parseFrameHeader, behind every decode path).
+func validateChunkFrame(h *ChunkedInfo, c *ChunkInfo, plen int) error {
 	if c.Offset >= h.Dims[0] {
 		return ErrCorrupt
 	}
@@ -797,10 +714,8 @@ func validateChunkFrame(h *ChunkedInfo, c *ChunkInfo, plen uint64) error {
 		return ErrCorrupt
 	}
 	// A v1 shard container is never drastically larger than the raw shard;
-	// the caps keep hostile headers from forcing huge allocations. The
-	// 1<<31 payload ceiling is part of the format: both decode paths must
-	// apply it identically.
-	if plen > uint64(16*elems)+(1<<20) || plen > 1<<31 {
+	// the cap keeps hostile headers from forcing huge allocations.
+	if plen > 16*elems+1<<20 {
 		return ErrCorrupt
 	}
 	return nil
@@ -840,81 +755,140 @@ func VerifyChunkPayload(c *ChunkInfo, payload []byte) error {
 	return nil
 }
 
-// verifyChunkPayload is the internal spelling kept for the blob scanner.
-func verifyChunkPayload(c *ChunkInfo, payload []byte) error {
-	return VerifyChunkPayload(c, payload)
-}
-
-// ReadChunkFrame parses the next chunk frame from r, returning its header
-// and payload. The global header h supplies dimensionality and bounds; the
-// frame is validated against it (trailing dims, payload size cap, CRC).
-func ReadChunkFrame(r io.Reader, h *ChunkedInfo) (*ChunkInfo, []byte, error) {
-	c, payload, err := ReadChunkFrameRaw(r, h)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := VerifyChunkPayload(c, payload); err != nil {
-		return nil, nil, err
-	}
-	return c, payload, nil
-}
-
 // ReadChunkFrameRaw parses the next chunk frame from r — header validation
 // included — but does NOT verify the payload CRC; the caller must run
 // VerifyChunkPayload before trusting the bytes. Degraded readers use the
 // split so a bit-rotted payload leaves r positioned exactly at the next
 // frame boundary: the frame is structurally intact and fully consumed,
 // only its bytes are wrong, so the read can skip the chunk and continue.
+// The header is read field by field, never past its end, so r may be a
+// pipe the producer holds open.
 func ReadChunkFrameRaw(r io.Reader, h *ChunkedInfo) (*ChunkInfo, []byte, error) {
-	off, err := readUvarint(r)
-	if err != nil || off > 1<<31 {
-		return nil, nil, ErrCorrupt
-	}
-	c := &ChunkInfo{Offset: int(off), Dims: make([]int, len(h.Dims))}
-	for i := range c.Dims {
-		v, err := readUvarint(r)
-		if err != nil || v > 1<<31 {
-			return nil, nil, ErrCorrupt
-		}
-		c.Dims[i] = int(v)
-	}
-	var mode [1]byte
-	if _, err := io.ReadFull(r, mode[:]); err != nil {
-		return nil, nil, ErrCorrupt
-	}
-	c.CodecMode = mode[0]
-	if h.Version >= version5 {
-		var id [1]byte
-		if _, err := io.ReadFull(r, id[:]); err != nil {
-			return nil, nil, ErrCorrupt
-		}
-		c.CodecID = CodecID(id[0])
-	}
-	if h.Version >= version3 {
-		var rng [8]byte
-		if _, err := io.ReadFull(r, rng[:]); err != nil {
-			return nil, nil, ErrCorrupt
-		}
-		c.Min = math.Float32frombits(binary.LittleEndian.Uint32(rng[:4]))
-		c.Max = math.Float32frombits(binary.LittleEndian.Uint32(rng[4:]))
-	}
-	plen, err := readUvarint(r)
+	var hdr [MaxFrameHeaderLen]byte
+	c, plen, err := parseFrameHeader(&frameCursor{buf: hdr[:0], r: r}, h)
 	if err != nil {
-		return nil, nil, ErrCorrupt
-	}
-	if err := validateChunkFrame(h, c, plen); err != nil {
 		return nil, nil, err
 	}
-	var crc [4]byte
-	if _, err := io.ReadFull(r, crc[:]); err != nil {
-		return nil, nil, ErrCorrupt
-	}
-	c.Checksum = binary.LittleEndian.Uint32(crc[:])
-	payload, err := readPayload(r, plen)
+	payload, err := readPayload(r, uint64(plen))
 	if err != nil {
 		return nil, nil, err
 	}
 	return c, payload, nil
+}
+
+// ScanFrameHeader parses a chunk frame header from the front of buf, which
+// need only hold the header bytes — not the payload. It returns the frame
+// info (checksum included), the offset within buf at which the payload
+// begins, and the payload length, applying the same validation as
+// ReadChunkFrameRaw. Frame walkers use it to step through a container by
+// offset arithmetic without touching any payload bytes.
+func ScanFrameHeader(buf []byte, h *ChunkedInfo) (*ChunkInfo, int, int, error) {
+	cur := frameCursor{buf: buf[:min(len(buf), MaxFrameHeaderLen)]}
+	c, plen, err := parseFrameHeader(&cur, h)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	return c, cur.off, plen, nil
+}
+
+// frameCursor feeds parseFrameHeader. Over a byte slice (r == nil) the
+// header must already sit in buf; over a stream, take reads exactly the
+// bytes the parser asks for, so the parse never reads past the header.
+// Either way a header longer than MaxFrameHeaderLen is refused.
+type frameCursor struct {
+	buf []byte    // header bytes held so far
+	off int       // parse position in buf
+	r   io.Reader // source of further bytes; nil when buf holds all there is
+}
+
+// take returns the next n header bytes, or ok=false when the input or
+// the MaxFrameHeaderLen budget runs out first.
+func (c *frameCursor) take(n int) ([]byte, bool) {
+	end := c.off + n
+	if end > len(c.buf) {
+		if c.r == nil || end > cap(c.buf) {
+			return nil, false
+		}
+		have := len(c.buf)
+		c.buf = c.buf[:end]
+		if _, err := io.ReadFull(c.r, c.buf[have:]); err != nil {
+			return nil, false
+		}
+	}
+	b := c.buf[c.off:end]
+	c.off = end
+	return b, true
+}
+
+// field reads one uvarint header field, byte by byte. Every frame field,
+// the payload length included, is at most 2^31: that ceiling is part of
+// the format.
+func (c *frameCursor) field() (int, bool) {
+	var v uint64
+	for i := 0; i < binary.MaxVarintLen64; i++ {
+		b, ok := c.take(1)
+		if !ok {
+			return 0, false
+		}
+		if i >= 5 && b[0]&0x7f != 0 {
+			return 0, false // bits past 2^35: over the cap, and maybe past 64
+		}
+		v |= uint64(b[0]&0x7f) << (7 * i)
+		if b[0] < 0x80 {
+			if v > 1<<31 {
+				return 0, false
+			}
+			return int(v), true
+		}
+	}
+	return 0, false
+}
+
+// parseFrameHeader is the one chunk-frame header parser: it reads the
+// header fields of a version-h.Version frame from cur, validates them
+// against the global header h, and returns the frame info (checksum
+// included) and the payload length.
+func parseFrameHeader(cur *frameCursor, h *ChunkedInfo) (*ChunkInfo, int, error) {
+	off, ok := cur.field()
+	if !ok {
+		return nil, 0, ErrCorrupt
+	}
+	c := &ChunkInfo{Offset: off, Dims: make([]int, len(h.Dims))}
+	for i := range c.Dims {
+		if c.Dims[i], ok = cur.field(); !ok {
+			return nil, 0, ErrCorrupt
+		}
+	}
+	b, ok := cur.take(1)
+	if !ok {
+		return nil, 0, ErrCorrupt
+	}
+	c.CodecMode = b[0]
+	if h.Version >= version5 {
+		if b, ok = cur.take(1); !ok {
+			return nil, 0, ErrCorrupt
+		}
+		c.CodecID = CodecID(b[0])
+	}
+	if h.Version >= version3 {
+		if b, ok = cur.take(8); !ok {
+			return nil, 0, ErrCorrupt
+		}
+		c.Min = math.Float32frombits(binary.LittleEndian.Uint32(b))
+		c.Max = math.Float32frombits(binary.LittleEndian.Uint32(b[4:]))
+	}
+	plen, ok := cur.field()
+	if !ok {
+		return nil, 0, ErrCorrupt
+	}
+	if err := validateChunkFrame(h, c, plen); err != nil {
+		return nil, 0, err
+	}
+	if b, ok = cur.take(4); !ok {
+		return nil, 0, ErrCorrupt
+	}
+	c.Checksum = binary.LittleEndian.Uint32(b)
+	return c, plen, nil
 }
 
 // verifyV1ShardPayload cross-checks a frame header against the v1
@@ -975,185 +949,43 @@ func DecompressShardCtx(ctx *arena.Ctx, dev *gpusim.Device, c *ChunkInfo, payloa
 	return recon, nil
 }
 
-// ScanFrameHeader parses a chunk frame header from the front of buf, which
-// need only hold the header bytes — not the payload. It returns the frame
-// info (checksum included), the offset within buf at which the payload
-// begins, and the payload length, applying the same validation as the full
-// frame readers. Index builders use it to walk a container's frames by
-// offset arithmetic without touching any payload bytes.
-func ScanFrameHeader(buf []byte, h *ChunkedInfo) (*ChunkInfo, int, int, error) {
-	off := 0
-	readUv := func() (uint64, bool) {
-		v, n := bitio.Uvarint(buf[off:])
-		if n == 0 || v > 1<<31 {
-			return 0, false
-		}
-		off += n
-		return v, true
-	}
-	o, ok := readUv()
-	if !ok {
-		return nil, 0, 0, ErrCorrupt
-	}
-	c := &ChunkInfo{Offset: int(o), Dims: make([]int, len(h.Dims))}
-	for i := range c.Dims {
-		v, ok := readUv()
-		if !ok {
-			return nil, 0, 0, ErrCorrupt
-		}
-		c.Dims[i] = int(v)
-	}
-	if off >= len(buf) {
-		return nil, 0, 0, ErrCorrupt
-	}
-	c.CodecMode = buf[off]
-	off++
-	if h.Version >= version5 {
-		if off >= len(buf) {
-			return nil, 0, 0, ErrCorrupt
-		}
-		c.CodecID = CodecID(buf[off])
-		off++
-	}
-	if h.Version >= version3 {
-		if off+8 > len(buf) {
-			return nil, 0, 0, ErrCorrupt
-		}
-		c.Min = math.Float32frombits(binary.LittleEndian.Uint32(buf[off:]))
-		c.Max = math.Float32frombits(binary.LittleEndian.Uint32(buf[off+4:]))
-		off += 8
-	}
-	plen, ok := readUv()
-	if !ok {
-		return nil, 0, 0, ErrCorrupt
-	}
-	if err := validateChunkFrame(h, c, plen); err != nil {
-		return nil, 0, 0, err
-	}
-	if off+4 > len(buf) {
-		return nil, 0, 0, ErrCorrupt
-	}
-	c.Checksum = binary.LittleEndian.Uint32(buf[off:])
-	off += 4
-	return c, off, int(plen), nil
-}
-
-// scanChunkFrame parses the chunk frame at blob[off:] without copying the
-// payload (it is returned as a subslice), sharing ScanFrameHeader and
-// verifyChunkPayload with the other decode paths. It returns the offset
-// just past the frame.
-func scanChunkFrame(blob []byte, off int, h *ChunkedInfo) (*ChunkInfo, []byte, int, error) {
-	if off < 0 || off > len(blob) {
-		return nil, nil, 0, ErrCorrupt
-	}
-	c, payStart, plen, err := ScanFrameHeader(blob[off:], h)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	off += payStart
-	if off+plen > len(blob) {
-		return nil, nil, 0, ErrCorrupt
-	}
-	payload := blob[off : off+plen]
-	off += plen
-	if err := verifyChunkPayload(c, payload); err != nil {
-		return nil, nil, 0, err
-	}
-	return c, payload, off, nil
-}
-
-// decompressChunked decodes a chunked (v2–v5) container: the frames are
-// scanned sequentially (cheap, zero-copy — payloads stay subslices of
-// blob), then decoded concurrently into the output field, each worker
-// reusing its own pooled codec context across shards. The output field is
-// drawn from the caller's ctx (scratch) when one is supplied.
+// decompressChunked decodes a chunked (v2–v5) container through the same
+// index and per-chunk decoder as stream.ReaderAt, over a bytes.Reader:
+// chunk 0 is decoded first, then the output field is allocated from the
+// caller's ctx (scratch) and the remaining chunks are decoded into it
+// concurrently, each worker reading frames into and decoding through its
+// own pooled codec context.
 func decompressChunked(ctx *arena.Ctx, dev *gpusim.Device, blob []byte) ([]float32, []int, error) {
-	r := bytes.NewReader(blob[6:]) // past magic + version + flags
-	h, err := readChunkedHeaderBody(r, blob[4], blob[5])
+	x, err := OpenIndex(bytes.NewReader(blob), int64(len(blob)))
 	if err != nil {
 		return nil, nil, err
-	}
-	off := len(blob) - r.Len()
-	type chunk struct {
-		info    *ChunkInfo
-		payload []byte
-	}
-	chunks := make([]chunk, h.NumChunks)
-	frameOffs := make([]int, h.NumChunks)
-	nextPlane := 0
-	for i := range chunks {
-		frameOffs[i] = off
-		c, payload, next, err := scanChunkFrame(blob, off, h)
-		if err != nil {
-			return nil, nil, err
-		}
-		off = next
-		if c.Offset != nextPlane {
-			return nil, nil, ErrCorrupt // gap or overlap in shard coverage
-		}
-		nextPlane += c.Dims[0]
-		chunks[i] = chunk{c, payload}
-	}
-	if nextPlane != h.Dims[0] {
-		return nil, nil, ErrCorrupt
-	}
-	if h.Version >= version4 {
-		// The index footer must occupy the rest of the blob exactly, point
-		// back at where the frames ended, and agree with the frames the
-		// scan just saw — a v4 container whose index lies is corrupt even
-		// when decoded sequentially.
-		if len(blob)-off < IndexTailLen {
-			return nil, nil, ErrCorrupt
-		}
-		footerOff, err := ParseChunkIndexTail(blob[len(blob)-IndexTailLen:])
-		if err != nil {
-			return nil, nil, err
-		}
-		if footerOff != int64(off) {
-			return nil, nil, ErrCorrupt
-		}
-		entries, err := ParseChunkIndex(blob[off:len(blob)-IndexTailLen], h, footerOff)
-		if err != nil {
-			return nil, nil, err
-		}
-		for i, e := range entries {
-			if e.Codec != chunks[i].info.CodecID {
-				return nil, nil, fmt.Errorf("core: chunk index codec %s disagrees with frame %d codec %s: %w",
-					CodecLabel(e.Codec), i, CodecLabel(chunks[i].info.CodecID), ErrCorrupt)
-			}
-			if e.FrameOff != int64(frameOffs[i]) || e.PlaneOff != chunks[i].info.Offset ||
-				e.Planes != chunks[i].info.Dims[0] {
-				return nil, nil, fmt.Errorf("core: chunk index disagrees with frame %d: %w", i, ErrCorrupt)
-			}
-		}
-	} else if off != len(blob) {
-		return nil, nil, ErrCorrupt
 	}
 	// Decode the first shard before allocating the full output, so a
 	// hostile header over bogus payloads fails before it can force the
 	// field-sized allocation. The shard slab is worker-context scratch;
 	// it is copied into the output before the context is recycled.
 	firstCtx := arena.Get()
-	first, err := DecompressShardCtx(firstCtx, dev, chunks[0].info, chunks[0].payload)
+	first, err := x.DecodeChunk(firstCtx, dev, 0)
 	if err != nil {
 		arena.Put(firstCtx)
 		return nil, nil, err
 	}
+	h := x.Header
 	out := ctx.F32(h.Total())
 	ps := planeSize(h.Dims)
-	copy(out, first) // chunk 0 starts at plane 0 (coverage validated above)
+	copy(out, first) // chunk 0 starts at plane 0 (the index tiles the field)
 	arena.Put(firstCtx)
-	ctxs := workerCtxs(dev.Workers(), len(chunks)-1)
+	rest := len(x.Entries) - 1
+	ctxs := workerCtxs(dev.Workers(), rest)
 	defer releaseCtxs(ctxs)
-	_, err = pipeline.MapWorker(dev.Workers(), len(chunks)-1, func(w, i int) (struct{}, error) {
+	_, err = pipeline.MapWorker(dev.Workers(), rest, func(w, i int) (struct{}, error) {
 		ctx := ctxs[w]
 		ctx.Reset()
-		c := chunks[i+1]
-		recon, err := DecompressShardCtx(ctx, dev, c.info, c.payload)
+		recon, err := x.DecodeChunk(ctx, dev, i+1)
 		if err != nil {
 			return struct{}{}, err
 		}
-		copy(out[c.info.Offset*ps:], recon)
+		copy(out[x.Entries[i+1].PlaneOff*ps:], recon)
 		return struct{}{}, nil
 	})
 	if err != nil {
@@ -1186,79 +1018,50 @@ type Info struct {
 	ChunkCRs []float64
 }
 
-// Inspect reads a container's headers (any format version).
+// Inspect reads a container's headers (any format version) through the
+// parsers every decoder uses — the v1 header parser, or the chunked index
+// header and (v4/v5) footer loader — so a container it describes is one
+// they accept that far.
 func Inspect(blob []byte) (*Info, error) {
 	if len(blob) < 6 || !bytes.Equal(blob[:4], magic[:]) {
 		return nil, ErrCorrupt
 	}
 	switch blob[4] {
 	case version:
-		r := bytes.NewReader(blob[6:])
-		nd, err := readUvarint(r)
-		if err != nil || nd == 0 || nd > 8 {
-			return nil, ErrCorrupt
-		}
-		info := &Info{Version: version, Dims: make([]int, nd)}
-		for i := range info.Dims {
-			v, err := readUvarint(r)
-			if err != nil || v == 0 || v > 1<<31 {
-				return nil, ErrCorrupt
-			}
-			info.Dims[i] = int(v)
-		}
-		var ebb [8]byte
-		if _, err := io.ReadFull(r, ebb[:]); err != nil {
-			return nil, ErrCorrupt
-		}
-		info.EB = math.Float64frombits(binary.LittleEndian.Uint64(ebb[:]))
-		return info, nil
-	case version2, version3, version4, version5:
-		h, err := ReadChunkedHeader(bytes.NewReader(blob))
+		hd, err := parseV1Header(nil, blob)
 		if err != nil {
 			return nil, err
 		}
+		return &Info{Version: version, Dims: hd.dims, EB: hd.eb}, nil
+	case version2, version3, version4, version5:
+		x, err := ReadIndexHeader(bytes.NewReader(blob), int64(len(blob)))
+		if err != nil {
+			return nil, err
+		}
+		h := x.Header
 		info := &Info{Version: h.Version, Dims: h.Dims, EB: h.EB, RelEB: h.RelEB,
 			NumChunks: h.NumChunks, ChunkPlanes: h.ChunkPlanes}
-		if h.Version >= version4 {
-			// Headers-only check of the seekable tail: the backpointer must
-			// land inside the blob ahead of the fixed tail.
-			if len(blob) < IndexTailLen {
-				return nil, ErrCorrupt
-			}
-			footerOff, err := ParseChunkIndexTail(blob[len(blob)-IndexTailLen:])
-			if err != nil {
-				return nil, err
-			}
-			if footerOff >= int64(len(blob)-IndexTailLen) {
-				return nil, ErrCorrupt
-			}
-			info.HasIndex = true
-			// The footer alone yields per-chunk observability: frame
-			// extents (offset deltas, closed by the footer offset) against
-			// raw plane bytes give each chunk's actual compression ratio,
-			// and for v5 the recorded codec IDs give the codec histogram —
-			// no payload is touched for either.
-			entries, err := ParseChunkIndex(blob[footerOff:len(blob)-IndexTailLen], h, footerOff)
-			if err != nil {
-				return nil, err
-			}
-			ps := planeSize(h.Dims)
-			info.ChunkCRs = make([]float64, len(entries))
-			for i, e := range entries {
-				end := footerOff
-				if i+1 < len(entries) {
-					end = entries[i+1].FrameOff
-				}
-				if fb := end - e.FrameOff; fb > 0 {
-					info.ChunkCRs[i] = float64(4*e.Planes*ps) / float64(fb)
-				}
-			}
-			if h.Version >= version5 {
-				info.ChunkCodecs = make(map[string]int)
-				for _, e := range entries {
-					cd, _ := CodecByID(e.Codec) // registered: ParseChunkIndex validated it
-					info.ChunkCodecs[cd.Name()]++
-				}
+		if h.Version < version4 {
+			return info, nil
+		}
+		if err := x.LoadFooter(); err != nil {
+			return nil, err
+		}
+		info.HasIndex = true
+		// The footer alone yields per-chunk observability: frame extents
+		// against raw plane bytes give each chunk's actual compression
+		// ratio, and for v5 the recorded codec IDs give the codec
+		// histogram — no payload is touched for either.
+		ps := planeSize(h.Dims)
+		info.ChunkCRs = make([]float64, len(x.Entries))
+		for i, e := range x.Entries {
+			info.ChunkCRs[i] = float64(4*e.Planes*ps) / float64(x.frameLen(i))
+		}
+		if h.Version >= version5 {
+			info.ChunkCodecs = make(map[string]int)
+			for _, e := range x.Entries {
+				cd, _ := CodecByID(e.Codec) // registered: the footer loader validated it
+				info.ChunkCodecs[cd.Name()]++
 			}
 		}
 		return info, nil

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"io"
 	"math"
 	"testing"
 
@@ -179,7 +180,7 @@ func TestChunkFrameValidation(t *testing.T) {
 		"shard past end":      frame(8, []int{4, 4, 4}, []byte("x")),
 	}
 	for name, raw := range cases {
-		if _, _, err := ReadChunkFrame(bytes.NewReader(raw), h); err == nil {
+		if _, _, err := readChunkFrame(bytes.NewReader(raw), h); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
@@ -188,7 +189,7 @@ func TestChunkFrameValidation(t *testing.T) {
 	// Locate the CRC (last 8 bytes = crc[4] + payload[4]) and break it.
 	bad := append([]byte(nil), ok...)
 	bad[len(bad)-8] ^= 0x01
-	if _, _, err := ReadChunkFrame(bytes.NewReader(bad), h); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := readChunkFrame(bytes.NewReader(bad), h); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("bad crc: err = %v", err)
 	}
 }
@@ -207,7 +208,7 @@ func TestStreamFrameHostilePayloadLen(t *testing.T) {
 	frame = bitio.AppendUvarint(frame, 1<<31)  // plen at the format cap
 	frame = append(frame, 0, 0, 0, 0)          // crc
 	frame = append(frame, make([]byte, 64)...) // far less data than declared
-	if _, _, err := ReadChunkFrame(bytes.NewReader(frame), h); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := readChunkFrame(bytes.NewReader(frame), h); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("hostile stream frame: err = %v", err)
 	}
 	// Over the cap: both parsers refuse outright.
@@ -218,10 +219,10 @@ func TestStreamFrameHostilePayloadLen(t *testing.T) {
 	over = append(over, CodecMode(HiTP()))
 	over = bitio.AppendUvarint(over, 1<<31+1)
 	over = append(over, 0, 0, 0, 0)
-	if _, _, err := ReadChunkFrame(bytes.NewReader(over), h); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := readChunkFrame(bytes.NewReader(over), h); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("over-cap plen via stream: err = %v", err)
 	}
-	if _, _, _, err := scanChunkFrame(over, 0, h); !errors.Is(err, ErrCorrupt) {
+	if _, _, _, err := ScanFrameHeader(over, h); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("over-cap plen via blob: err = %v", err)
 	}
 }
@@ -362,14 +363,14 @@ func TestV3RejectsBadRange(t *testing.T) {
 	h := &ChunkedInfo{Version: 3, Dims: []int{10, 4, 4}, EB: 0.1, ChunkPlanes: 4, NumChunks: 3}
 	opts := CuszL()
 	bad := AppendChunkFrameV3(nil, opts, 0, []int{4, 4, 4}, 5, -5, []byte{1})
-	if _, _, err := ReadChunkFrame(bytes.NewReader(bad), h); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := readChunkFrame(bytes.NewReader(bad), h); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("unordered range: err = %v", err)
 	}
 	nan := AppendChunkFrameV3(nil, opts, 0, []int{4, 4, 4}, float32(math.NaN()), 1, []byte{1})
-	if _, _, err := ReadChunkFrame(bytes.NewReader(nan), h); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := readChunkFrame(bytes.NewReader(nan), h); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("NaN range: err = %v", err)
 	}
-	if _, _, _, err := scanChunkFrame(bad, 0, h); !errors.Is(err, ErrCorrupt) {
+	if _, _, _, err := ScanFrameHeader(bad, h); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("unordered range via blob scan: err = %v", err)
 	}
 }
@@ -450,7 +451,7 @@ func TestV4HeaderGolden(t *testing.T) {
 	if err != nil || len(recon) != 16 || gotDims[0] != 4 {
 		t.Fatalf("v4 round trip: %v", err)
 	}
-	parsedOff, err := ParseChunkIndexTail(tail)
+	parsedOff, err := parseChunkIndexTail(tail)
 	if err != nil || parsedOff != int64(footerOff) {
 		t.Fatalf("tail parse: off=%d err=%v", parsedOff, err)
 	}
@@ -762,4 +763,16 @@ func TestV2RejectsNonzeroFlags(t *testing.T) {
 	if _, _, err := Decompress(dev, bad); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("v2 with flags=1: err = %v", err)
 	}
+}
+
+// readChunkFrame reads one chunk frame from r and verifies its payload CRC.
+func readChunkFrame(r io.Reader, h *ChunkedInfo) (*ChunkInfo, []byte, error) {
+	c, payload, err := ReadChunkFrameRaw(r, h)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := VerifyChunkPayload(c, payload); err != nil {
+		return nil, nil, err
+	}
+	return c, payload, nil
 }

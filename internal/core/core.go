@@ -448,11 +448,36 @@ func DecompressCtx(ctx *arena.Ctx, dev *gpusim.Device, blob []byte) ([]float32, 
 		// invariant says it must surface as ErrCorrupt, never a bare error.
 		return nil, nil, fmt.Errorf("core: unsupported version %d: %w", blob[4], ErrCorrupt)
 	}
-	pred := Predictor(blob[5])
+	hd, err := parseV1Header(ctx, blob)
+	if err != nil {
+		return nil, nil, err
+	}
+	return hd.pred.decompress(ctx, dev, blob, hd.body, hd.dims, hd.total, hd.eb)
+}
+
+// v1Header is a parsed one-shot (v1) container header.
+type v1Header struct {
+	pred  predictorEntry
+	dims  []int
+	total int     // element count, at most 2^33
+	eb    float64 // absolute bound, finite and positive
+	body  int     // offset of the predictor header
+}
+
+// parseV1Header parses the header of the v1 container blob (magic and
+// version already checked). It is the one v1 header parser, behind both
+// DecompressCtx and Inspect, so neither accepts a header the other
+// refuses. dims are drawn from ctx.
+func parseV1Header(ctx *arena.Ctx, blob []byte) (v1Header, error) {
+	var hd v1Header
+	pc, ok := predictors[Predictor(blob[5])]
+	if !ok {
+		return hd, ErrCorrupt // unknown predictor wire value
+	}
 	off := 6
 	nd64, n := bitio.Uvarint(blob[off:])
 	if n == 0 || nd64 == 0 || nd64 > 8 {
-		return nil, nil, ErrCorrupt
+		return hd, ErrCorrupt
 	}
 	off += n
 	dims := ctx.Ints(int(nd64))
@@ -460,28 +485,23 @@ func DecompressCtx(ctx *arena.Ctx, dev *gpusim.Device, blob []byte) ([]float32, 
 	for i := range dims {
 		v, n := bitio.Uvarint(blob[off:])
 		if n == 0 || v == 0 || v > 1<<31 {
-			return nil, nil, ErrCorrupt
+			return hd, ErrCorrupt
 		}
 		off += n
 		dims[i] = int(v)
 		total *= int(v)
 		if total <= 0 || total > 1<<33 {
-			return nil, nil, ErrCorrupt
+			return hd, ErrCorrupt
 		}
 	}
 	if off+8 > len(blob) {
-		return nil, nil, ErrCorrupt
+		return hd, ErrCorrupt
 	}
 	eb := math.Float64frombits(binary.LittleEndian.Uint64(blob[off:]))
-	off += 8
 	if !(eb > 0) || math.IsInf(eb, 0) {
-		return nil, nil, ErrCorrupt
+		return hd, ErrCorrupt
 	}
-	pc, ok := predictors[pred]
-	if !ok {
-		return nil, nil, ErrCorrupt // unknown predictor wire value
-	}
-	return pc.decompress(ctx, dev, blob, off, dims, total, eb)
+	return v1Header{pred: pc, dims: dims, total: total, eb: eb, body: off + 8}, nil
 }
 
 func decompressInterp(ctx *arena.Ctx, dev *gpusim.Device, blob []byte, off int, dims []int, total int, eb float64) ([]float32, []int, error) {

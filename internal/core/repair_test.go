@@ -113,7 +113,7 @@ func TestScanRecoveryFooterStates(t *testing.T) {
 	framesEnd := idx[len(idx)-1].FrameOff
 	// Find the true frames end: last frame offset is known, footer begins
 	// at the backpointer in the tail.
-	fo, err := ParseChunkIndexTail(blob[len(blob)-IndexTailLen:])
+	fo, err := parseChunkIndexTail(blob[len(blob)-IndexTailLen:])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,27 +294,27 @@ func TestAppendChunkedHeaderSized(t *testing.T) {
 func TestParseChunkIndexTailHostile(t *testing.T) {
 	good := AppendChunkIndexFooter(nil, 4, 16, nil)
 	tail := good[len(good)-IndexTailLen:]
-	if off, err := ParseChunkIndexTail(tail); err != nil || off != 16 {
+	if off, err := parseChunkIndexTail(tail); err != nil || off != 16 {
 		t.Fatalf("valid tail: off=%d err=%v", off, err)
 	}
 	for n := 0; n < IndexTailLen; n++ {
-		if _, err := ParseChunkIndexTail(tail[:n]); !errors.Is(err, ErrCorrupt) {
+		if _, err := parseChunkIndexTail(tail[:n]); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("len %d: got %v, want ErrCorrupt", n, err)
 		}
 	}
-	if _, err := ParseChunkIndexTail(append(tail, 0)); !errors.Is(err, ErrCorrupt) {
+	if _, err := parseChunkIndexTail(append(tail, 0)); !errors.Is(err, ErrCorrupt) {
 		t.Fatal("overlong tail must be ErrCorrupt")
 	}
 	mut := append([]byte(nil), tail...)
 	mut[8] ^= 0x20 // break the magic
-	if _, err := ParseChunkIndexTail(mut); !errors.Is(err, ErrCorrupt) {
+	if _, err := parseChunkIndexTail(mut); !errors.Is(err, ErrCorrupt) {
 		t.Fatal("bad magic must be ErrCorrupt")
 	}
 	huge := append([]byte(nil), tail...)
 	for i := 0; i < 8; i++ {
 		huge[i] = 0xFF // backpointer far past any representable file
 	}
-	if _, err := ParseChunkIndexTail(huge); !errors.Is(err, ErrCorrupt) {
+	if _, err := parseChunkIndexTail(huge); !errors.Is(err, ErrCorrupt) {
 		t.Fatal("absurd backpointer must be ErrCorrupt")
 	}
 }
